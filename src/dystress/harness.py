@@ -446,15 +446,23 @@ def _run_sweep_entry(args: tuple[int, ExperimentConfig]) -> tuple[int, str, list
 
 
 def resolve_worker_count(explicit: Optional[int] = None) -> int:
+    """Worker count from the argument, else ${DYSTRESS_WORKERS}, else 1.
+
+    Counts below 1 are rejected, not rounded up to 1.
+    """
     if explicit is not None:
-        return max(1, explicit)
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env:
+        count, where = explicit, "workers"
+    else:
+        env = os.environ.get(WORKERS_ENV_VAR)
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            count, where = int(env), WORKERS_ENV_VAR
         except ValueError as err:
             raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from err
-    return 1
+    if count < 1:
+        raise ValidationError(f"{where} must be at least 1, got {count}")
+    return count
 
 
 def run_sweep(
@@ -467,8 +475,10 @@ def run_sweep(
     """
     sweep_dir = None if sweep_dir is None else Path(sweep_dir)
     configs = sweep.expand(sweep_dir)
-    worker_count = resolve_worker_count(workers)
     entries = list(enumerate(configs))
+    # the fork start method launches every pool process up front, so a pool
+    # never gets more processes than it has configs to run
+    worker_count = min(resolve_worker_count(workers), len(entries))
     if worker_count > 1:
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
             outcomes = list(pool.map(_run_sweep_entry, entries))

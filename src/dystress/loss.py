@@ -9,6 +9,14 @@ training. Both modes share the forward value.
 
 The loss is the mean (not sum) over the 2N anchor rows of the cross-entropy
 against the positive column, so learning rates are batch-size independent.
+
+Training, evaluation and finite-difference checks share one kernel that works
+on the 2Nx2N Gram layout of the stacked embeddings [a; b] with the diagonal
+masked: row r holds z_r . z_c for every c, and its positive sits at column
+(r + N) mod 2N. The kernel evaluates the temperature profile once per
+unordered pair. The 2Nx(2N-1) `LogitsBlock` path (`forward_from_block`,
+`grad_wrt_similarity`, `chain_to_embeddings`) is the diagnostic layout and the
+reference the kernel is tested against.
 """
 
 from __future__ import annotations
@@ -18,15 +26,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import BatchTooSmallError, ValidationError
-from .geometry import (
-    EmbeddingBatch,
-    LogitsBlock,
-    build_logits_block,
-    clamp_similarities,
-    strip_diagonal,
-)
-from .numeric import row_log_sum_exp, stable_row_softmax
+from .errors import BatchTooSmallError, NumericError, ValidationError
+from .geometry import EmbeddingBatch, LogitsBlock, clamp_similarities
+from .numeric import row_log_sum_exp, row_sums, stable_row_softmax
 from .temperature import TemperatureProfile
 
 
@@ -40,9 +42,91 @@ class GradientBundle:
     """Loss value with all intermediate gradients of one batch."""
 
     loss: float
-    probs: np.ndarray  # 2N x (2N-1) row-softmax of scaled logits
-    dL_ds: np.ndarray  # 2N x (2N-1) gradient w.r.t. raw similarities
+    probs: np.ndarray  # 2N x 2N Gram-layout row softmax, zero diagonal
+    dL_ds: np.ndarray  # 2N x 2N Gram-layout gradient w.r.t. raw similarities, zero diagonal
     dL_dz: np.ndarray  # 2N x D displacement vectors (view-a rows first)
+
+
+def _gram(cross: np.ndarray, packed: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Mirror two NxN pair matrices into the 2Nx2N Gram layout.
+
+    `cross` holds the a_i . b_j entries. `packed` holds view a's within-view
+    pairs in its strict upper triangle (`upper`) and view b's in its strict
+    lower one. The result is [[W_a, X], [X^T, W_b]] with W_a and W_b
+    symmetric; its diagonal is left to the caller.
+    """
+    n = cross.shape[0]
+    g = np.empty((2 * n, 2 * n))
+    g[:n, :n] = np.where(upper, packed, packed.T)
+    g[:n, n:] = cross
+    g[n:, :n] = cross.T
+    g[n:, n:] = np.where(upper, packed.T, packed)
+    return g
+
+
+def _infonce_kernel(
+    view_a: np.ndarray,
+    view_b: np.ndarray,
+    profile: TemperatureProfile,
+    mode: LossMode | None = None,
+    temperatures: tuple[np.ndarray, np.ndarray] | None = None,
+) -> GradientBundle | float:
+    """Loss, and with a `mode` all gradients, of one two-view batch.
+
+    The similarities come from the NxN products a.b^T, a.a^T and b.b^T and
+    are clamped once. The profile sees each unordered pair once: on the
+    cross-view block and on an NxN matrix packing a's upper within-view
+    triangle with b's lower one. One max/exp/sum pass per row of the masked
+    2Nx2N logits gives the log-sum-exp loss and the softmax, and dL/dz is
+    chained back through the NxN blocks of dL/ds + dL/ds^T.
+    `temperatures` replaces the profile by fixed (cross, packed) values.
+    Returns the loss alone when `mode` is None.
+    """
+    n = view_a.shape[0]
+    if n < 2:
+        raise BatchTooSmallError(
+            f"need at least 2 samples (got {n}); a single-sample batch has no negatives"
+        )
+    upper = ~np.tri(n, dtype=bool)  # strict upper triangle
+    cross = clamp_similarities(view_a @ view_b.T)
+    packed = clamp_similarities(np.where(upper, view_a @ view_a.T, view_b @ view_b.T))
+    if temperatures is None:
+        temperatures = profile.tau(cross), profile.tau(packed)
+    inv_cross, inv_packed = 1.0 / temperatures[0], 1.0 / temperatures[1]
+    logits_cross = cross * inv_cross
+    logits = _gram(logits_cross, packed * inv_packed, upper)
+    np.fill_diagonal(logits, -np.inf)
+    peak = logits.max(axis=1, keepdims=True)
+    e = np.exp(np.subtract(logits, peak, out=logits), out=logits)  # in place, saves 2Nx2N memory
+    sums = row_sums(e)
+    lse = peak[:, 0] + np.log(sums)
+    if not np.all(np.isfinite(lse)):
+        raise NumericError("similarity logits contain non-finite entries")
+    loss = float(np.mean(lse - np.tile(np.diagonal(logits_cross), 2)))
+    if mode is None:
+        return loss
+
+    probs = e
+    probs /= sums[:, None]
+    # dL/ds = (p - 1[positive]) * factor / 2N; DETACHED's factor is 1/tau
+    factor_cross, factor_packed = inv_cross, inv_packed
+    if mode is LossMode.COUPLED:
+        # (tau - s dtau) / tau^2 as (1 - s dtau / tau) / tau: a zero dtau
+        # leaves DETACHED's 1/tau bit for bit
+        factor_cross = (1.0 - cross * profile.dtau_ds(cross) * inv_cross) * inv_cross
+        factor_packed = (1.0 - packed * profile.dtau_ds(packed) * inv_packed) * inv_packed
+    factor_cross = factor_cross / (2 * n)
+    dL_ds = _gram(factor_cross, factor_packed / (2 * n), upper)
+    dL_ds *= probs
+    rows = np.arange(2 * n)
+    cols = (rows + n) % (2 * n)
+    dL_ds[rows, cols] = (probs[rows, cols] - 1.0) * np.tile(np.diagonal(factor_cross), 2)
+    g_aa, g_ab = dL_ds[:n, :n], dL_ds[:n, n:]
+    g_ba, g_bb = dL_ds[n:, :n], dL_ds[n:, n:]
+    g_cross = g_ab + g_ba.T
+    dz_a = (g_aa + g_aa.T) @ view_a + g_cross @ view_b
+    dz_b = g_cross.T @ view_a + (g_bb + g_bb.T) @ view_b
+    return GradientBundle(loss=loss, probs=probs, dL_ds=dL_ds, dL_dz=np.vstack([dz_a, dz_b]))
 
 
 def forward_from_block(block: LogitsBlock) -> float:
@@ -54,22 +138,17 @@ def forward_from_block(block: LogitsBlock) -> float:
 
 def forward(batch: EmbeddingBatch, profile: TemperatureProfile) -> float:
     """Loss of a batch under a temperature profile."""
-    return forward_from_block(build_logits_block(batch, profile))
+    return _infonce_kernel(batch.view_a, batch.view_b, profile)
 
 
-def grad_wrt_similarity(
-    block: LogitsBlock, mode: LossMode = LossMode.DETACHED, probs: np.ndarray | None = None
-) -> np.ndarray:
+def grad_wrt_similarity(block: LogitsBlock, mode: LossMode = LossMode.DETACHED) -> np.ndarray:
     """Gradient of the mean loss w.r.t. every similarity entry.
 
     DETACHED: -(1 - p) / tau / (2N) at the positive column and
     p / tau / (2N) at negative entries. COUPLED multiplies the softmax
-    residual by (tau - s * dtau/ds) / tau^2 instead of 1/tau. Pass `probs`
-    to reuse an already-computed row softmax of block.scaled.
+    residual by (tau - s * dtau/ds) / tau^2 instead of 1/tau.
     """
-    if probs is None:
-        probs = stable_row_softmax(block.scaled)
-    residual = probs.copy()
+    residual = stable_row_softmax(block.scaled)
     rows = np.arange(block.num_rows)
     residual[rows, block.positive_column] -= 1.0
     if mode is LossMode.DETACHED:
@@ -119,17 +198,9 @@ def grad_wrt_embeddings(
 
     The embeddings are treated as free points of the similarity map
     s_ij = z_i . z_j; the normalization Jacobian belongs to the encoder.
+    `probs` and `dL_ds` come in the 2Nx2N Gram layout.
     """
-    block = build_logits_block(batch, profile)
-    probs = stable_row_softmax(block.scaled)
-    dL_ds = grad_wrt_similarity(block, mode, probs=probs)
-    dL_dz = chain_to_embeddings(batch, dL_ds)
-    return GradientBundle(
-        loss=forward_from_block(block),
-        probs=probs,
-        dL_ds=dL_ds,
-        dL_dz=dL_dz,
-    )
+    return _infonce_kernel(batch.view_a, batch.view_b, profile, mode)
 
 
 def relative_penalty(scaled_row: np.ndarray, negative_index: int, positive_index: int) -> float:
@@ -161,23 +232,29 @@ def loss_on_embeddings(
     """Loss as a scalar field over a flat stack of 2N embedding rows.
 
     Intended for finite-difference checks, so rows need not be unit norm.
-    With `frozen_temperatures` the entry-wise temperatures are held fixed
-    (differentiating this field reproduces the DETACHED gradient); without,
-    temperatures are recomputed from the perturbed similarities (COUPLED).
+    With `frozen_temperatures` (2Nx(2N-1), as `LogitsBlock.temperatures`)
+    the entry-wise temperatures are held fixed (differentiating this field
+    reproduces the DETACHED gradient); without, temperatures are recomputed
+    from the perturbed similarities (COUPLED). Frozen values are read once
+    per unordered pair: rows 0..N-1 for cross-view pairs and for view a,
+    rows N..2N-1 for view b.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] % 2 != 0:
         raise ValidationError("z must stack the two views as a 2N x D matrix")
     n = z.shape[0] // 2
-    if n < 2:
-        raise BatchTooSmallError(f"need at least 2 samples (got {n})")
-    va, vb = z[:n], z[n:]
-    s12 = va @ vb.T
-    top = np.hstack([s12, strip_diagonal(va @ va.T)])
-    bottom = np.hstack([s12.T.copy(), strip_diagonal(vb @ vb.T)])
-    s = clamp_similarities(np.vstack([top, bottom]))
-    tau = profile.tau(s) if frozen_temperatures is None else frozen_temperatures
-    scaled = s / tau
-    rows = np.arange(2 * n)
-    lse = row_log_sum_exp(scaled)
-    return float(np.mean(lse - scaled[rows, rows % n]))
+    temperatures = None
+    if frozen_temperatures is not None:
+        frozen = np.asarray(frozen_temperatures, dtype=np.float64)
+        if frozen.shape != (2 * n, 2 * n - 1):
+            raise ValidationError(
+                f"frozen temperatures must be {2 * n}x{2 * n - 1}, got {frozen.shape}"
+            )
+        # the kernel takes one value per unordered pair: a's upper and b's
+        # lower within-view triangle, as it packs them itself; the masked
+        # diagonal gets 1.0 only to keep 1/tau finite
+        upper = ~np.tri(n, dtype=bool)
+        within = np.where(upper, _scatter_offdiag(frozen[:n, n:]), _scatter_offdiag(frozen[n:, n:]))
+        np.fill_diagonal(within, 1.0)
+        temperatures = frozen[:n, :n], within
+    return _infonce_kernel(z[:n], z[n:], profile, temperatures=temperatures)

@@ -1,8 +1,9 @@
 """Deterministic numeric substrate: seeded RNG, stable softmax, finite differences.
 
-Everything here is float64. Reductions inside kernels use a fixed
-left-to-right order (cumulative sums) so repeated runs produce bit-identical
-results on the same machine.
+Everything here is float64. Row reductions inside kernels go through
+`row_sums`, NumPy's pairwise summation along each contiguous row. Its order
+depends only on the row length, not on the data or on where the array sits in
+memory, so repeated runs produce bit-identical results on the same machine.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class Rng:
 
 
 def row_sums(m: np.ndarray) -> np.ndarray:
-    """Row sums with left-to-right (index-ascending) accumulation order."""
-    return np.cumsum(m, axis=1)[:, -1]
+    """Row sums by pairwise summation, in an order fixed by the row length."""
+    return np.sum(m, axis=1)
 
 
 def stable_row_softmax(logits: np.ndarray) -> np.ndarray:
@@ -78,7 +79,7 @@ def stable_row_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def row_log_sum_exp(logits: np.ndarray) -> np.ndarray:
-    """log(sum(exp(row))) per row, max-shifted, left-to-right accumulation."""
+    """log(sum(exp(row))) per row, max-shifted, summed with `row_sums`."""
     logits = np.asarray(logits, dtype=np.float64)
     m = logits.max(axis=1)
     return m + np.log(row_sums(np.exp(logits - m[:, None])))

@@ -211,3 +211,14 @@ class TestSweepCommand:
         assert len(lines) == 1 + 2 * 2  # header + 2 configs x 2 eval epochs
         assert (out_dir / "run_000" / "metrics.csv").exists()
         assert (out_dir / "run_001" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_1(self, tmp_path, workers):
+        sweep_config = {"config_version": 1, "base": {**TINY_CONFIG, "epochs": 1}}
+        config_path = write_config(tmp_path, sweep_config, "sweep.json")
+        out_dir = tmp_path / "sweep"
+        code = main(
+            ["sweep", "--config", str(config_path), "--out-dir", str(out_dir), "--workers", workers]
+        )
+        assert code == EXIT_VALIDATION
+        assert not (out_dir / "sweep.csv").exists()

@@ -276,3 +276,37 @@ class TestSweep:
         monkeypatch.delenv(harness.WORKERS_ENV_VAR)
         assert harness.resolve_worker_count() == 1
         assert harness.resolve_worker_count(4) == 4
+
+    @pytest.mark.parametrize("explicit, env", [(0, None), (-3, None), (None, "-2"), (None, "0")])
+    def test_worker_count_below_one_rejected(self, monkeypatch, explicit, env):
+        if env is None:
+            monkeypatch.delenv(harness.WORKERS_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(harness.WORKERS_ENV_VAR, env)
+        with pytest.raises(ValidationError, match="at least 1"):
+            harness.resolve_worker_count(explicit)
+
+    def test_pool_never_outnumbers_configs(self, tmp_path, monkeypatch):
+        # a stand-in pool records its size and runs serially, so no
+        # processes start however many workers are asked for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        sweep = SweepSpec(base=tiny_config(epochs=0), seeds=[0, 1, 2])
+        run_sweep(sweep, sweep_dir=tmp_path / "wide", workers=64)
+        assert sizes == [3]
+        run_sweep(SweepSpec(base=tiny_config(epochs=0)), sweep_dir=tmp_path / "one", workers=64)
+        assert sizes == [3]  # a single config runs in-process

@@ -12,20 +12,37 @@ from conftest import (
     reference_ntxent,
 )
 
-from dystress.errors import ValidationError
-from dystress.geometry import EmbeddingBatch, LogitsBlock, build_logits_block, l2_normalize
+from dystress.errors import BatchTooSmallError, NumericError, ValidationError
+from dystress.geometry import (
+    EmbeddingBatch,
+    LogitsBlock,
+    block_index_maps,
+    build_logits_block,
+    l2_normalize,
+)
 from dystress.loss import (
     LossMode,
+    chain_to_embeddings,
     forward,
+    forward_from_block,
     grad_wrt_embeddings,
     grad_wrt_similarity,
     loss_on_embeddings,
     relative_penalty,
 )
-from dystress.numeric import finite_difference_grad, max_relative_error
+from dystress.numeric import finite_difference_grad, max_relative_error, stable_row_softmax
 from dystress.temperature import TemperatureProfile
 
 COSINE = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+
+ALL_VARIANTS = [
+    TemperatureProfile.constant(0.15),
+    COSINE,
+    TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7),
+    TemperatureProfile.linear(0.1, 0.3),
+    TemperatureProfile.exponential(0.1, 0.3, sharpness=2.0),
+    TemperatureProfile.monotonic_cosine(0.1, 0.2),
+]
 
 
 def fd_dz(batch, profile, mode):
@@ -183,6 +200,92 @@ class TestGradWrtEmbeddings:
         batch = random_batch(rng, 5, 6)
         bundle = grad_wrt_embeddings(batch, COSINE)
         assert np.max(np.abs(bundle.probs.sum(axis=1) - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("mode", [LossMode.DETACHED, LossMode.COUPLED])
+    def test_gram_layout_matches_block(self, rng, mode):
+        # entry (r, c) of the 2Nx(2N-1) block is entry (anchor, other) of the
+        # 2Nx2N Gram layout; the Gram diagonal (self pairs) is zero
+        n = 6
+        batch = random_batch(rng, n, 5)
+        bundle = grad_wrt_embeddings(batch, COSINE, mode)
+        block = build_logits_block(batch, COSINE)
+        anchor, other = block_index_maps(n)
+        assert bundle.probs.shape == bundle.dL_ds.shape == (2 * n, 2 * n)
+        assert np.all(np.diagonal(bundle.probs) == 0.0)
+        assert np.all(np.diagonal(bundle.dL_ds) == 0.0)
+        assert np.allclose(bundle.probs[anchor, other], stable_row_softmax(block.scaled), atol=1e-14)
+        assert np.allclose(bundle.dL_ds[anchor, other], grad_wrt_similarity(block, mode), atol=1e-14)
+
+
+class TestGramKernel:
+    """The training/eval kernel against the 2Nx(2N-1) LogitsBlock reference."""
+
+    @pytest.mark.parametrize("mode", [LossMode.DETACHED, LossMode.COUPLED])
+    @pytest.mark.parametrize("profile", ALL_VARIANTS, ids=lambda p: p.variant)
+    def test_parity_with_block_reference(self, rng, monkeypatch, profile, mode):
+        seen = []
+        tau = TemperatureProfile.tau
+
+        def spy(self, s):
+            seen.append(np.size(s))
+            return tau(self, s)
+
+        monkeypatch.setattr(TemperatureProfile, "tau", spy)
+        for n in (2, 3, 7, 64, 52):
+            batch = random_batch(rng, n, 9)
+            block = build_logits_block(batch, profile)
+            ref_loss = forward_from_block(block)
+            ref_dz = chain_to_embeddings(batch, grad_wrt_similarity(block, mode))
+
+            seen.clear()
+            bundle = grad_wrt_embeddings(batch, profile, mode)
+            assert sum(seen) <= 2 * n * n, f"N={n}: tau saw {sum(seen)} entries"
+            seen.clear()
+            loss = forward(batch, profile)
+            assert sum(seen) <= 2 * n * n, f"N={n}: tau saw {sum(seen)} entries"
+
+            assert abs(bundle.loss - ref_loss) <= 1e-12 * abs(ref_loss), f"N={n}"
+            assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss), f"N={n}"
+            assert max_relative_error(bundle.dL_dz, ref_dz) < 1e-12, f"N={n}"
+
+    def test_frozen_temperatures_match_profile(self, rng):
+        batch = random_batch(rng, 7, 5)
+        frozen = build_logits_block(batch, COSINE).temperatures
+        z = batch.stacked()
+        value = loss_on_embeddings(z, COSINE)
+        assert abs(loss_on_embeddings(z, COSINE, frozen) - value) <= 1e-14 * abs(value)
+
+    def test_frozen_temperatures_shape_checked(self, rng):
+        batch = random_batch(rng, 4, 5)
+        with pytest.raises(ValidationError, match="frozen temperatures"):
+            loss_on_embeddings(batch.stacked(), COSINE, np.full((8, 8), 0.1))
+
+    @pytest.mark.parametrize("mode", [LossMode.DETACHED, LossMode.COUPLED])
+    def test_bit_stable_across_memory_offsets(self, rng, mode):
+        # rows of 2N = 200 exceed one pairwise-summation block, so the row
+        # reduction recurses; its order must not depend on the address
+        n, d = 100, 16
+        z = l2_normalize(rng.normal((2 * n, d)))
+        ids = [f"s{i}" for i in range(n)]
+        base = grad_wrt_embeddings(EmbeddingBatch(z[:n], z[n:], ids), COSINE, mode)
+        for offset in (1, 2, 3):
+            buf = np.zeros(z.size + offset)
+            shifted = buf[offset:].reshape(z.shape)
+            shifted[...] = z
+            bundle = grad_wrt_embeddings(EmbeddingBatch(shifted[:n], shifted[n:], ids), COSINE, mode)
+            assert bundle.loss == base.loss
+            assert np.array_equal(bundle.dL_dz, base.dL_dz)
+            assert loss_on_embeddings(shifted, COSINE) == base.loss
+
+    def test_non_finite_embeddings_raise(self, rng):
+        z = l2_normalize(rng.normal((8, 5)))
+        z[2, 0] = np.nan
+        with pytest.raises(NumericError):
+            loss_on_embeddings(z, COSINE)
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(BatchTooSmallError):
+            loss_on_embeddings(np.eye(2), COSINE)
 
 
 class TestNtXentEquivalence:
