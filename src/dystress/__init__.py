@@ -11,6 +11,7 @@ probe), and a synthetic-data training harness with ablation sweeps.
 from .encoder import (
     EncoderParams,
     EncoderSpec,
+    OptimizerSettings,
     OptimizerState,
     backward,
     encode,
@@ -69,7 +70,7 @@ from .metrics import (
     uniformity,
 )
 from .numeric import Rng, finite_difference_grad, max_relative_error, stable_row_softmax
-from .synthetic import Dataset, SyntheticSpec, augment_pair, generate, make_batches
+from .synthetic import Dataset, SyntheticSpec, generate, make_batches
 from .temperature import (
     OdeCurve,
     OdeParams,

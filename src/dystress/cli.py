@@ -51,12 +51,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=metrics_mod.DEFAULT_KNN_K)
 
     p = sub.add_parser("temp-profile", help="dump a temperature profile as CSV")
-    p.add_argument("--variant", required=True, choices=list(temperature.VARIANTS) + ["cosine", "shifted", "monotonic"])
-    p.add_argument("--tmin", type=float, required=True)
-    p.add_argument("--tmax", type=float, required=True)
-    p.add_argument("--shift", type=float, default=0.0)
-    p.add_argument("--scale", type=float, default=1.0)
-    p.add_argument("--sharpness", type=float, default=1.0)
+    p.add_argument("--variant", required=True, choices=temperature.PROFILE_NAMES)
+    p.add_argument("--tmin", dest="tau_min", type=float, required=True)
+    p.add_argument("--tmax", dest="tau_max", type=float, required=True)
+    p.add_argument("--shift", type=float, default=TemperatureProfile.shift)
+    p.add_argument("--scale", type=float, default=TemperatureProfile.scale)
+    p.add_argument("--sharpness", type=float, default=TemperatureProfile.sharpness)
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--out", required=True)
 
@@ -77,11 +77,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
 
     return parser
-
-
-def _norm_variant(name: str) -> str:
-    aliases = {"cosine": "cosine_vanilla", "shifted": "cosine_shifted", "monotonic": "monotonic_cosine"}
-    return aliases.get(name, name)
 
 
 def _cmd_simulate(args) -> int:
@@ -116,16 +111,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_temp_profile(args) -> int:
-    variant = _norm_variant(args.variant)
-    kwargs = {}
-    if variant == "cosine_shifted":
-        kwargs = {"shift": args.shift, "scale": args.scale}
-    if variant == "exponential":
-        kwargs = {"sharpness": args.sharpness}
-    if variant == "constant":
-        profile = TemperatureProfile.constant(args.tmin)
-    else:
-        profile = TemperatureProfile(variant, args.tmin, args.tmax, **kwargs)
+    # each option's dest is the profile field it sets
+    form = temperature.PROFILE_FORMS[temperature.variant_named(args.variant)]
+    profile = TemperatureProfile.from_values(args.variant, [getattr(args, name) for name in form.values])
     temperature.write_profile_csv(args.out, profile, args.samples)
     print(f"wrote {args.samples} samples to {args.out}")
     return EXIT_OK

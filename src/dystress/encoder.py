@@ -11,13 +11,14 @@ optimizer; defaults follow the usual contrastive pre-training recipe
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int
 from .geometry import l2_normalize
 from .numeric import Rng
 
@@ -29,33 +30,25 @@ NONLINEARITIES = ("tanh", "relu")
 class EncoderSpec:
     """Layer widths (input, hidden..., output), nonlinearity, and init scale."""
 
-    layer_widths: tuple[int, ...]
+    layer_widths: tuple[int, ...] = (32, 64, 16)
     nonlinearity: str = "tanh"
     init_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
-        if len(self.layer_widths) < 2:
+        widths = tuple(check_int("layer width", w, 1) for w in self.layer_widths)
+        object.__setattr__(self, "layer_widths", widths)
+        if len(widths) < 2:
             raise ValidationError("need at least one affine layer (two widths)")
-        if any(w < 1 for w in self.layer_widths):
-            raise ValidationError(f"layer widths must be positive, got {self.layer_widths}")
-        if self.layer_widths[-1] < 2:
+        if widths[-1] < 2:
             raise ValidationError("output dimension must be at least 2")
         if self.nonlinearity not in NONLINEARITIES:
             raise ValidationError(f"nonlinearity must be one of {NONLINEARITIES}")
-        if self.init_scale <= 0:
-            raise ValidationError("init_scale must be positive")
+        if not (0.0 < self.init_scale < math.inf):
+            raise ValidationError(f"init_scale must be positive and finite, got {self.init_scale!r}")
 
     @property
     def num_layers(self) -> int:
         return len(self.layer_widths) - 1
-
-    def to_dict(self) -> dict:
-        return {
-            "layer_widths": list(self.layer_widths),
-            "nonlinearity": self.nonlinearity,
-            "init_scale": self.init_scale,
-        }
 
 
 @dataclass
@@ -168,29 +161,34 @@ def backward(
     return grads
 
 
-@dataclass
-class OptimizerState:
-    """SGD with momentum; velocity buffers shaped like the parameters."""
+@dataclass(frozen=True)
+class OptimizerSettings:
+    """Learning rate, momentum and weight decay of SGD."""
 
-    lr: float
-    momentum: float
-    weight_decay: float
-    velocities: list[tuple[np.ndarray, np.ndarray]]
+    lr: float = 0.06
+    momentum: float = 0.9
+    weight_decay: float = 5e-4
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not (0.0 < self.lr < math.inf):
+            raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
         if not (0.0 <= self.momentum < 1.0):
-            raise ValidationError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValidationError("weight decay must be non-negative")
+            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
+        if not (0.0 <= self.weight_decay < math.inf):
+            raise ValidationError(f"weight_decay must be non-negative and finite, got {self.weight_decay!r}")
 
 
-def init_optimizer(
-    params: EncoderParams, lr: float, momentum: float = 0.9, weight_decay: float = 5e-4
-) -> OptimizerState:
+@dataclass
+class OptimizerState:
+    """SGD with momentum: its settings and velocity buffers shaped like the parameters."""
+
+    settings: OptimizerSettings
+    velocities: list[tuple[np.ndarray, np.ndarray]]
+
+
+def init_optimizer(params: EncoderParams, settings: OptimizerSettings) -> OptimizerState:
     velocities = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(params.weights, params.biases)]
-    return OptimizerState(lr=lr, momentum=momentum, weight_decay=weight_decay, velocities=velocities)
+    return OptimizerState(settings, velocities)
 
 
 def sgd_step(
@@ -201,17 +199,18 @@ def sgd_step(
     """v <- momentum*v + g + weight_decay*w;  w <- w - lr*v. In place."""
     if len(grads) != len(state.velocities):
         raise ValidationError("gradient count does not match optimizer state")
+    settings = state.settings
     for l, (gw, gb) in enumerate(grads):
         vw, vb = state.velocities[l]
         w, b = params.weights[l], params.biases[l]
         if gw.shape != w.shape or gb.shape != b.shape:
             raise ValidationError(f"layer {l} gradient shapes do not match parameters")
-        vw *= state.momentum
-        vw += gw + state.weight_decay * w
-        vb *= state.momentum
-        vb += gb + state.weight_decay * b
-        w -= state.lr * vw
-        b -= state.lr * vb
+        vw *= settings.momentum
+        vw += gw + settings.weight_decay * w
+        vb *= settings.momentum
+        vb += gb + settings.weight_decay * b
+        w -= settings.lr * vw
+        b -= settings.lr * vb
 
 
 # -- parameter vector helpers (used by gradient checks) ----------------------
@@ -253,7 +252,7 @@ def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
     """Versioned JSON checkpoint: layer shapes plus row-major values."""
     payload = {
         "magic": CHECKPOINT_MAGIC,
-        "spec": params.spec.to_dict(),
+        "spec": asdict(params.spec),
         "weights": [w.ravel().tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
     }
@@ -264,11 +263,7 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValidationError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    spec = EncoderSpec(
-        layer_widths=tuple(payload["spec"]["layer_widths"]),
-        nonlinearity=payload["spec"]["nonlinearity"],
-        init_scale=payload["spec"]["init_scale"],
-    )
+    spec = EncoderSpec(**payload["spec"])
     widths = spec.layer_widths
     weights = [
         np.array(w, dtype=np.float64).reshape(widths[l + 1], widths[l])

@@ -88,7 +88,7 @@ class EmbeddingBatch:
                 raise ValidationError("labels must align with sample_ids")
         for name, m in (("view_a", self.view_a), ("view_b", self.view_b)):
             norms = np.linalg.norm(m, axis=1)
-            if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
+            if not np.all(np.abs(norms - 1.0) <= UNIT_NORM_TOL):  # a NaN norm fails too
                 bad = int(np.argmax(np.abs(norms - 1.0)))
                 raise ValidationError(
                     f"{name} row {bad} is not unit norm (|v| = {norms[bad]:.12f})"

@@ -11,10 +11,11 @@ fixed order, so repeating a run reproduces its metrics CSV byte for byte.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -24,7 +25,7 @@ from . import encoder as enc
 from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import synthetic
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_fields, check_int, from_section
 from .geometry import EmbeddingBatch, write_embedding_dump
 from .numeric import Rng, fmt
 from .temperature import TemperatureProfile
@@ -35,46 +36,44 @@ DEFAULT_SWEEP_CAP = 256
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    lr: float = 0.06
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lr) and self.lr > 0):
-            raise ValidationError("lr must be positive and finite")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValidationError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValidationError("weight_decay must be non-negative")
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
-    synthetic: synthetic.SyntheticSpec
-    encoder: enc.EncoderSpec
-    profile: TemperatureProfile
-    loss_mode: loss_mod.LossMode
-    optimizer: OptimizerSettings
-    batch_size: int
-    epochs: int
-    eval_every: int
-    knn_k: int
-    knn_weight_temperature: float
-    seed: int
+    """One run; the defaults here and in the section dataclasses are the config defaults.
+
+    `seed` is the run's only seed: data generation, weight init, batch order
+    and augmentation all draw from named substreams of it.
+    """
+
+    seed: int = 0
+    synthetic: synthetic.SyntheticSpec = synthetic.SyntheticSpec()
+    encoder: enc.EncoderSpec = enc.EncoderSpec()
+    profile: TemperatureProfile = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+    loss_mode: loss_mod.LossMode = loss_mod.LossMode.DETACHED
+    optimizer: enc.OptimizerSettings = enc.OptimizerSettings()
+    batch_size: int = 128
+    epochs: int = 200
+    eval_every: int = 20
+    knn_k: int = metrics_mod.DEFAULT_KNN_K
+    knn_weight_temperature: float = metrics_mod.DEFAULT_KNN_WEIGHT_TEMPERATURE
     out_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if self.batch_size < 2:
-            raise ValidationError("batch_size must be at least 2")
-        if self.epochs < 0:
-            raise ValidationError("epochs must be non-negative")
-        if self.eval_every < 1:
-            raise ValidationError("eval_every must be at least 1")
-        if self.knn_k < 1:
-            raise ValidationError("knn_k must be at least 1")
-        if self.knn_weight_temperature <= 0:
-            raise ValidationError("knn_weight_temperature must be positive")
+        check_int("seed", self.seed, 0)
+        check_int("batch_size", self.batch_size, 2)
+        check_int("epochs", self.epochs, 0)
+        check_int("eval_every", self.eval_every, 1)
+        check_int("knn_k", self.knn_k, 1)
+        if not (0.0 < self.knn_weight_temperature < math.inf):
+            raise ValidationError(
+                f"knn_weight_temperature must be positive and finite, got {self.knn_weight_temperature!r}"
+            )
+        try:
+            object.__setattr__(self, "loss_mode", loss_mod.LossMode(self.loss_mode))
+        except ValueError as err:
+            raise ValidationError(
+                f"loss_mode must be 'detached' or 'coupled', got {self.loss_mode!r}"
+            ) from err
+        if self.out_dir is not None:
+            object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.encoder.layer_widths[0] != self.synthetic.ambient_dim:
             raise ValidationError(
                 f"encoder input width {self.encoder.layer_widths[0]} does not match "
@@ -85,15 +84,11 @@ class ExperimentConfig:
         return {
             "config_version": CONFIG_VERSION,
             "seed": self.seed,
-            "synthetic": self.synthetic.to_dict(include_seed=False),
-            "encoder": self.encoder.to_dict(),
+            "synthetic": asdict(self.synthetic),
+            "encoder": asdict(self.encoder),
             "profile": self.profile.to_dict(),
             "loss_mode": self.loss_mode.value,
-            "optimizer": {
-                "lr": self.optimizer.lr,
-                "momentum": self.optimizer.momentum,
-                "weight_decay": self.optimizer.weight_decay,
-            },
+            "optimizer": asdict(self.optimizer),
             "batch_size": self.batch_size,
             "epochs": self.epochs,
             "eval_every": self.eval_every,
@@ -103,100 +98,24 @@ class ExperimentConfig:
         }
 
 
-def _check_fields(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown fields in {where}: {sorted(unknown)}")
-
-
-DEFAULTS = {
-    "synthetic": {
-        "num_classes": 10,
-        "samples_per_class": 100,
-        "ambient_dim": 32,
-        "intra_class_sigma": 0.2,
-        "augment_sigma": 0.15,
-        "long_tail_rho": 1.0,
-    },
-    "encoder": {"layer_widths": [32, 64, 16], "nonlinearity": "tanh", "init_scale": 1.0},
-    "profile": {"variant": "cosine_vanilla", "tau_min": 0.1, "tau_max": 0.2},
-    "optimizer": {"lr": 0.06, "momentum": 0.9, "weight_decay": 5e-4},
-    "loss_mode": "detached",
-    "batch_size": 128,
-    "epochs": 200,
-    "eval_every": 20,
-    "knn_k": 20,
-    "knn_weight_temperature": 0.07,
-    "seed": 0,
-}
-
-
 def config_from_dict(raw: dict, out_dir: Optional[Path] = None) -> ExperimentConfig:
-    """Parse a versioned config dict, rejecting unknown fields at every level."""
+    """Parse a versioned config dict; missing fields take the dataclass defaults.
+
+    Unknown fields are rejected at every level, and each section is checked
+    by its own dataclass.
+    """
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    top_allowed = {
-        "config_version",
-        "seed",
-        "synthetic",
-        "encoder",
-        "profile",
-        "loss_mode",
-        "optimizer",
-        "batch_size",
-        "epochs",
-        "eval_every",
-        "knn_k",
-        "knn_weight_temperature",
-        "out_dir",
-    }
-    _check_fields(raw, top_allowed, "config")
     version = raw.get("config_version")
     if version != CONFIG_VERSION:
         raise ValidationError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
-    seed = int(raw.get("seed", DEFAULTS["seed"]))
-
-    syn_raw = {**DEFAULTS["synthetic"], **raw.get("synthetic", {})}
-    _check_fields(syn_raw, set(DEFAULTS["synthetic"]), "config.synthetic")
-    syn = synthetic.SyntheticSpec(seed=seed, **syn_raw)
-
-    enc_raw = {**DEFAULTS["encoder"], **raw.get("encoder", {})}
-    _check_fields(enc_raw, set(DEFAULTS["encoder"]), "config.encoder")
-    encoder_spec = enc.EncoderSpec(
-        layer_widths=tuple(enc_raw["layer_widths"]),
-        nonlinearity=enc_raw["nonlinearity"],
-        init_scale=enc_raw["init_scale"],
-    )
-
-    profile = TemperatureProfile.from_dict(raw.get("profile", dict(DEFAULTS["profile"])))
-
-    opt_raw = {**DEFAULTS["optimizer"], **raw.get("optimizer", {})}
-    _check_fields(opt_raw, set(DEFAULTS["optimizer"]), "config.optimizer")
-    optimizer = OptimizerSettings(**opt_raw)
-
-    mode_raw = raw.get("loss_mode", DEFAULTS["loss_mode"])
-    try:
-        mode = loss_mod.LossMode(mode_raw)
-    except ValueError as err:
-        raise ValidationError(f"loss_mode must be 'detached' or 'coupled', got {mode_raw!r}") from err
-
-    resolved_out = out_dir if out_dir is not None else raw.get("out_dir")
-    return ExperimentConfig(
-        synthetic=syn,
-        encoder=encoder_spec,
-        profile=profile,
-        loss_mode=mode,
-        optimizer=optimizer,
-        batch_size=int(raw.get("batch_size", DEFAULTS["batch_size"])),
-        epochs=int(raw.get("epochs", DEFAULTS["epochs"])),
-        eval_every=int(raw.get("eval_every", DEFAULTS["eval_every"])),
-        knn_k=int(raw.get("knn_k", DEFAULTS["knn_k"])),
-        knn_weight_temperature=float(
-            raw.get("knn_weight_temperature", DEFAULTS["knn_weight_temperature"])
-        ),
-        seed=seed,
-        out_dir=None if resolved_out is None else Path(resolved_out),
-    )
+    top = {key: value for key, value in raw.items() if key != "config_version"}
+    for f in fields(ExperimentConfig):
+        if is_dataclass(f.default) and f.name in top:
+            top[f.name] = from_section(type(f.default), top[f.name], f"config.{f.name}")
+    if out_dir is not None:
+        top["out_dir"] = out_dir
+    return from_section(ExperimentConfig, top, "config")
 
 
 def load_config(path: str | Path, out_dir: Optional[Path] = None) -> ExperimentConfig:
@@ -205,14 +124,8 @@ def load_config(path: str | Path, out_dir: Optional[Path] = None) -> ExperimentC
 
 
 def default_config(**overrides) -> ExperimentConfig:
-    """Desk-scale default setup; keyword overrides replace dataclass fields.
-
-    A 'seed' override flows into the synthetic spec as well (the dataset is
-    part of the experiment's randomness).
-    """
-    seed = int(overrides.pop("seed", DEFAULTS["seed"]))
-    config = config_from_dict({"config_version": CONFIG_VERSION, "seed": seed})
-    return replace(config, **overrides) if overrides else config
+    """Desk-scale default setup; keyword overrides replace dataclass fields."""
+    return ExperimentConfig(**overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -289,18 +202,13 @@ def run_experiment(config: ExperimentConfig, data_path: Optional[str | Path] = N
             )
         train_set, test_set = synthetic.holdout_split(dataset)
     else:
-        train_set = synthetic.generate(config.synthetic)
+        train_set = synthetic.generate(config.synthetic, config.seed)
         test_set = synthetic.generate_eval_split(
             config.synthetic, train_set.class_centers, root_rng.substream("testdata")
         )
 
     params = enc.init_params(config.encoder, root_rng.substream("init"))
-    state = enc.init_optimizer(
-        params,
-        lr=config.optimizer.lr,
-        momentum=config.optimizer.momentum,
-        weight_decay=config.optimizer.weight_decay,
-    )
+    state = enc.init_optimizer(params, config.optimizer)
 
     reports: list[metrics_mod.MetricsReport] = []
     report, hist_initial, initial_batch = _eval_state(
@@ -376,6 +284,9 @@ class SweepSpec:
     seeds: list[int] = field(default_factory=list)
     max_configs: int = DEFAULT_SWEEP_CAP
 
+    def __post_init__(self):
+        check_int("max_configs", self.max_configs, 1)
+
     def expand(self, sweep_dir: Optional[Path]) -> list[ExperimentConfig]:
         """Cartesian product of the override axes over the base config."""
         profiles = self.profiles or [self.base.profile]
@@ -396,9 +307,8 @@ class SweepSpec:
                         replace(
                             self.base,
                             profile=profile,
-                            optimizer=replace(self.base.optimizer, lr=float(lr)),
-                            synthetic=replace(self.base.synthetic, seed=int(seed)),
-                            seed=int(seed),
+                            optimizer=replace(self.base.optimizer, lr=lr),
+                            seed=seed,
                             out_dir=out,
                         )
                     )
@@ -407,22 +317,26 @@ class SweepSpec:
 
 
 def sweep_from_dict(raw: dict) -> SweepSpec:
-    if not isinstance(raw, dict):
-        raise ValidationError("sweep config must be a JSON object")
-    _check_fields(raw, {"config_version", "base", "overrides", "max_configs"}, "sweep config")
+    """Parse a sweep config; each override is checked by the config it lands in."""
+    check_fields(raw, {"config_version", "base", "overrides", "max_configs"}, "sweep config")
     if raw.get("config_version") != CONFIG_VERSION:
         raise ValidationError(f"config_version must be {CONFIG_VERSION}")
-    base = config_from_dict({**raw.get("base", {}), "config_version": CONFIG_VERSION})
     overrides = raw.get("overrides", {})
-    _check_fields(overrides, {"profiles", "lrs", "seeds"}, "sweep overrides")
-    profiles = [TemperatureProfile.from_dict(p) for p in overrides.get("profiles", [])]
-    return SweepSpec(
-        base=base,
-        profiles=profiles,
-        lrs=[float(x) for x in overrides.get("lrs", [])],
-        seeds=[int(x) for x in overrides.get("seeds", [])],
-        max_configs=int(raw.get("max_configs", DEFAULT_SWEEP_CAP)),
-    )
+    check_fields(overrides, {"profiles", "lrs", "seeds"}, "sweep overrides")
+    try:
+        sweep = SweepSpec(
+            base=config_from_dict({**raw.get("base", {}), "config_version": CONFIG_VERSION}),
+            profiles=[TemperatureProfile.from_dict(p) for p in overrides.get("profiles", [])],
+            lrs=overrides.get("lrs", []),
+            seeds=overrides.get("seeds", []),
+            max_configs=raw.get("max_configs", DEFAULT_SWEEP_CAP),
+        )
+        sweep.expand(None)
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"sweep config: {err}") from err
+    return sweep
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
@@ -465,15 +379,13 @@ def resolve_worker_count(explicit: Optional[int] = None) -> int:
     return count
 
 
-def run_sweep(
-    sweep: SweepSpec, sweep_dir: Optional[str | Path] = None, workers: Optional[int] = None
-) -> Path | list[tuple[int, str, list]]:
-    """Run every config; write one combined CSV ordered by (config, epoch).
+def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: Optional[int] = None) -> Path:
+    """Run every config; write sweep_dir/sweep.csv ordered by (config, epoch).
 
     A failed run contributes a single row with its error in the status column
-    and empty metric columns; remaining runs still execute.
+    and empty metric columns; remaining runs still execute. Returns the CSV path.
     """
-    sweep_dir = None if sweep_dir is None else Path(sweep_dir)
+    sweep_dir = Path(sweep_dir)
     configs = sweep.expand(sweep_dir)
     entries = list(enumerate(configs))
     # the fork start method launches every pool process up front, so a pool
@@ -499,12 +411,10 @@ def run_sweep(
                 f"{fmt(r.tolerance)},{fmt(r.interclass_uniformity)},{fmt(r.knn_top1)}"
             )
 
-    if sweep_dir is not None:
-        sweep_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = sweep_dir / "sweep.csv"
-        csv_path.write_text(SWEEP_CSV_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        return csv_path
-    return [(i, s, r) for i, s, r, _ in outcomes]
+    sweep_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = sweep_dir / "sweep.csv"
+    csv_path.write_text(SWEEP_CSV_HEADER + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return csv_path
 
 
 # ---------------------------------------------------------------------------

@@ -124,8 +124,8 @@ def knn_probe(
         raise ValidationError("knn probe needs non-empty train and test sets")
     if not (1 <= k <= train_points.shape[0]):
         raise ValidationError(f"k must be in [1, {train_points.shape[0]}], got {k}")
-    if weight_temperature <= 0:
-        raise ValidationError("weight temperature must be positive")
+    if not (0.0 < weight_temperature < np.inf):
+        raise ValidationError(f"weight temperature must be positive and finite, got {weight_temperature!r}")
     classes = np.unique(train_labels)
     class_of = {c: idx for idx, c in enumerate(classes)}
     sims = np.clip(test_points @ train_points.T, -1.0, 1.0)

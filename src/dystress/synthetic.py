@@ -11,40 +11,41 @@ orthogonal on their own, so experiments should pick D_in accordingly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import ValidationError, check_int
 from .geometry import l2_normalize
 from .numeric import Rng
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    num_classes: int
-    samples_per_class: int
-    ambient_dim: int
-    intra_class_sigma: float
-    augment_sigma: float
-    seed: int
+    num_classes: int = 10
+    samples_per_class: int = 100
+    ambient_dim: int = 32
+    intra_class_sigma: float = 0.2
+    augment_sigma: float = 0.15
     long_tail_rho: float = 1.0
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValidationError("need at least 2 classes")
-        if self.samples_per_class < 1:
-            raise ValidationError("need at least 1 sample per class")
-        if self.ambient_dim < 2:
-            raise ValidationError("ambient dimension must be at least 2")
-        if self.intra_class_sigma <= 0:
-            raise ValidationError("intra-class sigma must be positive")
-        if self.augment_sigma < 0:
-            raise ValidationError("augment sigma must be non-negative")
+        check_int("num_classes", self.num_classes, 2)
+        check_int("samples_per_class", self.samples_per_class, 1)
+        check_int("ambient_dim", self.ambient_dim, 2)
+        if not (0.0 < self.intra_class_sigma < math.inf):
+            raise ValidationError(
+                f"intra_class_sigma must be positive and finite, got {self.intra_class_sigma!r}"
+            )
+        if not (0.0 <= self.augment_sigma < math.inf):
+            raise ValidationError(
+                f"augment_sigma must be non-negative and finite, got {self.augment_sigma!r}"
+            )
         if not (0.0 < self.long_tail_rho <= 1.0):
-            raise ValidationError("long-tail rho must lie in (0, 1]")
+            raise ValidationError(f"long_tail_rho must lie in (0, 1], got {self.long_tail_rho!r}")
 
     def class_sizes(self) -> list[int]:
         """M_c = max(1, round(M * rho^c)); rho = 1 gives balanced classes."""
@@ -52,19 +53,6 @@ class SyntheticSpec:
             max(1, int(round(self.samples_per_class * self.long_tail_rho**c)))
             for c in range(self.num_classes)
         ]
-
-    def to_dict(self, include_seed: bool = True) -> dict:
-        d = {
-            "num_classes": self.num_classes,
-            "samples_per_class": self.samples_per_class,
-            "ambient_dim": self.ambient_dim,
-            "intra_class_sigma": self.intra_class_sigma,
-            "augment_sigma": self.augment_sigma,
-            "long_tail_rho": self.long_tail_rho,
-        }
-        if include_seed:
-            d["seed"] = self.seed
-        return d
 
 
 @dataclass
@@ -99,9 +87,9 @@ def sample_class_points(
     )
 
 
-def generate(spec: SyntheticSpec) -> Dataset:
-    """Deterministic dataset for a spec: centers and samples from spec.seed."""
-    rng = Rng(spec.seed).substream("data")
+def generate(spec: SyntheticSpec, seed: int) -> Dataset:
+    """Deterministic dataset for a spec: centers and samples from the seed."""
+    rng = Rng(seed).substream("data")
     centers = l2_normalize(rng.normal((spec.num_classes, spec.ambient_dim)))
     return sample_class_points(centers, spec.class_sizes(), spec.intra_class_sigma, rng)
 
@@ -135,22 +123,8 @@ def holdout_split(dataset: Dataset, fraction: float = 0.2) -> tuple[Dataset, Dat
     return subset(~test_mask), subset(test_mask)
 
 
-def augment_pair(x: np.ndarray, sigma_a: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent noisy views of one input, renormalized to the sphere."""
-    views = []
-    for _ in range(2):
-        for attempt in range(2):
-            candidate = x + sigma_a * rng.normal(x.shape)
-            if np.linalg.norm(candidate) > 1e-12:
-                views.append(l2_normalize(candidate))
-                break
-            if attempt == 1:
-                raise DegenerateInputError("augmentation produced a zero vector twice")
-    return views[0], views[1]
-
-
 def augment_views(inputs: np.ndarray, sigma_a: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
-    """Batched augment_pair: one (view1, view2) per input row.
+    """Two independent noisy views of each input row, renormalized to the sphere.
 
     Draws per-view noise blocks in a fixed order so the stream is stable.
     """

@@ -18,25 +18,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError
+from .errors import DomainError, NumericError, ValidationError, from_section
 from .numeric import fmt
 
 DOMAIN_SLACK = 1e-9
 SINGULARITY_BAND = 1e-6
 SLOPE_SIGN_EXCLUSION = 1e-3
 
-VARIANTS = (
-    "constant",
-    "cosine_vanilla",
-    "cosine_shifted",
-    "linear",
-    "exponential",
-    "monotonic_cosine",
-)
+SCALE_RANGE = (1e-6, 2.0)  # pi / scale stays finite
+SHARPNESS_RANGE = (1e-6, 700.0)  # exp(a) - 1 keeps its digits and exp(a) stays finite
+
+
+class ProfileForm(NamedTuple):
+    """How a variant is named and which of its fields a spec string carries."""
+
+    names: tuple[str, ...]  # accepted spellings; the first is the spec-string name
+    values: tuple[str, ...]  # fields a spec string carries, in order
+    required: int  # how many of them a spec string must give
+
+
+PROFILE_FORMS = {
+    "constant": ProfileForm(("constant",), ("tau_min",), 1),
+    "cosine_vanilla": ProfileForm(("cosine", "cosine_vanilla"), ("tau_min", "tau_max"), 2),
+    "cosine_shifted": ProfileForm(
+        ("shifted", "cosine_shifted"), ("tau_min", "tau_max", "shift", "scale"), 4
+    ),
+    "linear": ProfileForm(("linear",), ("tau_min", "tau_max"), 2),
+    "exponential": ProfileForm(("exponential", "exp"), ("tau_min", "tau_max", "sharpness"), 2),
+    "monotonic_cosine": ProfileForm(("monotonic", "monotonic_cosine"), ("tau_min", "tau_max"), 2),
+}
+PROFILE_NAMES = tuple(name for form in PROFILE_FORMS.values() for name in form.names)
+
+
+def variant_named(name: str) -> str:
+    """The variant that a spelling in PROFILE_FORMS names (case-insensitive)."""
+    for variant, form in PROFILE_FORMS.items():
+        if name.lower() in form.names:
+            return variant
+    raise ValidationError(f"unknown profile name {name!r}")
 
 
 @dataclass(frozen=True)
@@ -55,19 +78,21 @@ class TemperatureProfile:
     sharpness: float = 1.0  # exponential only (a)
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
+        if self.variant not in PROFILE_FORMS:
             raise ValidationError(f"unknown profile variant {self.variant!r}")
-        if not (0.0 < self.tau_min <= self.tau_max):
+        if not (0.0 < self.tau_min <= self.tau_max < math.inf):
             raise ValidationError(
-                f"need 0 < tau_min <= tau_max, got ({self.tau_min}, {self.tau_max})"
+                f"need 0 < tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})"
             )
         if self.variant == "cosine_shifted":
-            if not (0.0 < self.scale <= 2.0):
-                raise ValidationError(f"shifted-profile scale must be in (0, 2], got {self.scale}")
+            low, high = SCALE_RANGE
+            if not (low <= self.scale <= high):
+                raise ValidationError(f"shifted-profile scale must lie in [{low:g}, {high:g}], got {self.scale}")
             if not (-1.0 <= self.shift <= 1.0):
                 raise ValidationError(f"shifted-profile shift must be in [-1, 1], got {self.shift}")
-        if self.variant == "exponential" and self.sharpness <= 0.0:
-            raise ValidationError(f"exponential sharpness must be positive, got {self.sharpness}")
+        low, high = SHARPNESS_RANGE
+        if self.variant == "exponential" and not (low <= self.sharpness <= high):
+            raise ValidationError(f"exponential sharpness must lie in [{low:g}, {high:g}], got {self.sharpness}")
 
     # -- constructors ------------------------------------------------------
 
@@ -158,60 +183,35 @@ class TemperatureProfile:
 
     def to_dict(self) -> dict:
         d = {"variant": self.variant, "tau_min": self.tau_min, "tau_max": self.tau_max}
-        if self.variant == "cosine_shifted":
-            d["shift"] = self.shift
-            d["scale"] = self.scale
-        if self.variant == "exponential":
-            d["sharpness"] = self.sharpness
+        d.update((name, getattr(self, name)) for name in PROFILE_FORMS[self.variant].values)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TemperatureProfile":
-        allowed = {"variant", "tau_min", "tau_max", "shift", "scale", "sharpness"}
-        unknown = set(d) - allowed
-        if unknown:
-            raise ValidationError(f"unknown profile fields: {sorted(unknown)}")
-        if "variant" not in d:
-            raise ValidationError("profile needs a 'variant' field")
-        return cls(**d)
+        return from_section(cls, d, "profile")
 
     def spec_string(self) -> str:
         """Compact CLI form, e.g. cosine:0.1:0.2 or shifted:0.1:0.2:-0.4:0.7."""
-        if self.variant == "constant":
-            return f"constant:{self.tau_min:g}"
-        if self.variant == "cosine_vanilla":
-            return f"cosine:{self.tau_min:g}:{self.tau_max:g}"
-        if self.variant == "cosine_shifted":
-            return f"shifted:{self.tau_min:g}:{self.tau_max:g}:{self.shift:g}:{self.scale:g}"
-        if self.variant == "exponential":
-            return f"exponential:{self.tau_min:g}:{self.tau_max:g}:{self.sharpness:g}"
-        short = {"linear": "linear", "monotonic_cosine": "monotonic"}[self.variant]
-        return f"{short}:{self.tau_min:g}:{self.tau_max:g}"
+        form = PROFILE_FORMS[self.variant]
+        return ":".join([form.names[0]] + [f"{getattr(self, name):g}" for name in form.values])
+
+    @classmethod
+    def from_values(cls, name: str, values: Sequence[float]) -> "TemperatureProfile":
+        """Profile from a spelling in PROFILE_FORMS and its values in spec-string order."""
+        variant = variant_named(name)
+        form = PROFILE_FORMS[variant]
+        if not form.required <= len(values) <= len(form.values):
+            raise ValidationError(f"{name} takes the values {':'.join(form.values)}, got {len(values)}")
+        return getattr(cls, variant)(*values)
 
     @classmethod
     def from_spec_string(cls, spec: str) -> "TemperatureProfile":
-        parts = spec.split(":")
-        name, args = parts[0].lower(), parts[1:]
+        name, *args = spec.split(":")
         try:
-            vals = [float(x) for x in args]
+            values = [float(x) for x in args]
         except ValueError as err:
             raise ValidationError(f"bad profile spec {spec!r}: {err}") from err
-        try:
-            if name == "constant" and len(vals) == 1:
-                return cls.constant(vals[0])
-            if name in ("cosine", "cosine_vanilla") and len(vals) == 2:
-                return cls.cosine_vanilla(*vals)
-            if name in ("shifted", "cosine_shifted") and len(vals) == 4:
-                return cls.cosine_shifted(*vals)
-            if name == "linear" and len(vals) == 2:
-                return cls.linear(*vals)
-            if name in ("exponential", "exp") and len(vals) in (2, 3):
-                return cls.exponential(*vals)
-            if name in ("monotonic", "monotonic_cosine") and len(vals) == 2:
-                return cls.monotonic_cosine(*vals)
-        except ValidationError:
-            raise
-        raise ValidationError(f"bad profile spec {spec!r}")
+        return cls.from_values(name, values)
 
 
 def profile_curve(profile: TemperatureProfile, samples: int) -> np.ndarray:

@@ -30,6 +30,61 @@ def write_config(tmp_path, payload, name="config.json"):
     return path
 
 
+def with_value(payload, path, value):
+    """Copy of `payload` with the dotted `path` set to `value`."""
+    out = json.loads(json.dumps(payload))
+    *sections, key = path.split(".")
+    target = out
+    for section in sections:
+        target = target.setdefault(section, {})
+    target[key] = value
+    return out
+
+
+NAN, INF = float("nan"), float("inf")
+MALFORMED_BASE = {**TINY_CONFIG, "profile": {"variant": "exponential", "tau_min": 0.1, "tau_max": 0.2}}
+MALFORMED_CONFIG_VALUES = [
+    ("knn_weight_temperature", NAN),
+    ("synthetic.intra_class_sigma", NAN),
+    ("optimizer.weight_decay", NAN),
+    ("optimizer.lr", NAN),
+    ("synthetic.augment_sigma", NAN),
+    ("profile.sharpness", NAN),
+    ("encoder.init_scale", INF),
+    ("profile.tau_max", INF),
+    ("batch_size", 2.7),
+    ("epochs", True),
+    ("batch_size", "abc"),
+    ("synthetic.num_classes", "3"),
+    ("profile.tau_min", "0.1"),
+    ("encoder.layer_widths", 5),
+    ("synthetic", [1]),
+    ("profile.sharpness", 800),
+]
+MALFORMED_SWEEP_VALUES = [("overrides", {"seeds": ["a"]}), ("max_configs", "x")]
+
+
+def malformed_runs():
+    for path, value in MALFORMED_CONFIG_VALUES:
+        config = with_value(MALFORMED_BASE, path, value)
+        yield pytest.param("simulate", config, id=f"simulate-{path}={value!r}")
+        sweep = {"config_version": 1, "base": config}
+        yield pytest.param("sweep", sweep, id=f"sweep-base.{path}={value!r}")
+    for path, value in MALFORMED_SWEEP_VALUES:
+        sweep = with_value({"config_version": 1, "base": MALFORMED_BASE}, path, value)
+        yield pytest.param("sweep", sweep, id=f"sweep-{path}={value!r}")
+
+
+@pytest.mark.parametrize("command, payload", list(malformed_runs()))
+def test_malformed_config_value_exit_1(tmp_path, capsys, command, payload):
+    config_path = write_config(tmp_path, payload)
+    out_dir = tmp_path / "out"
+    code = main([command, "--config", str(config_path), "--out-dir", str(out_dir)])
+    assert code == EXIT_VALIDATION
+    assert "error:" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 class TestTempProfile:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
@@ -155,7 +210,7 @@ class TestSimulateAndMetrics:
 
         config = config_from_dict(TINY_CONFIG)
         data_path = tmp_path / "data.jsonl"
-        write_dataset(data_path, generate(config.synthetic))
+        write_dataset(data_path, generate(config.synthetic, config.seed))
         config_path = write_config(tmp_path, TINY_CONFIG)
         code = main(
             [
@@ -176,6 +231,21 @@ class TestSimulateAndMetrics:
         out = capsys.readouterr().out
         for key in ("uniformity", "alignment", "tolerance", "interclass_uniformity", "knn_top1"):
             assert key in out
+
+    def test_metrics_nan_coordinate_exit_1(self, tmp_path, capsys):
+        from conftest import random_batch
+        from dystress.geometry import write_embedding_dump
+        from dystress.numeric import Rng
+
+        dump = tmp_path / "dump.jsonl"
+        write_embedding_dump(dump, random_batch(Rng(4), 3, 4))
+        lines = dump.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["z"][2] = NAN
+        lines[1] = json.dumps(record)
+        dump.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
+        assert "not unit norm" in capsys.readouterr().err
 
     def test_unknown_config_field_exit_1(self, tmp_path):
         config_path = write_config(tmp_path, {**TINY_CONFIG, "typo_field": 1})

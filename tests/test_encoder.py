@@ -128,7 +128,7 @@ class TestSgdStep:
     def test_vanilla_step(self):
         spec = enc.EncoderSpec((2, 2), "tanh")
         params = enc.EncoderParams(spec, [np.ones((2, 2))], [np.zeros(2)])
-        state = enc.init_optimizer(params, lr=0.5, momentum=0.0, weight_decay=0.0)
+        state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.5, momentum=0.0, weight_decay=0.0))
         enc.sgd_step(params, [(np.full((2, 2), 2.0), np.array([4.0, 4.0]))], state)
         assert np.allclose(params.weights[0], 0.0, atol=1e-15)
         assert np.allclose(params.biases[0], -2.0, atol=1e-15)
@@ -136,7 +136,7 @@ class TestSgdStep:
     def test_zero_gradient_fixed_point(self):
         spec = enc.EncoderSpec((2, 2), "tanh")
         params = enc.EncoderParams(spec, [np.eye(2)], [np.zeros(2)])
-        state = enc.init_optimizer(params, lr=0.1, momentum=0.9, weight_decay=0.0)
+        state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.1, momentum=0.9, weight_decay=0.0))
         enc.sgd_step(params, [(np.zeros((2, 2)), np.zeros(2))], state)
         assert np.array_equal(params.weights[0], np.eye(2))
 
@@ -146,7 +146,7 @@ class TestSgdStep:
         spec = enc.EncoderSpec((2, 2), "tanh")
         w0 = np.full((2, 2), 3.0)
         params = enc.EncoderParams(spec, [w0.copy()], [np.zeros(2)])
-        state = enc.init_optimizer(params, lr=0.1, momentum=0.9, weight_decay=0.0)
+        state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.1, momentum=0.9, weight_decay=0.0))
         g = (np.full((2, 2), 0.5), np.zeros(2))
         enc.sgd_step(params, [g], state)
         assert np.allclose(params.weights[0], w0 - 0.1 * 0.5, atol=1e-15)
@@ -156,7 +156,7 @@ class TestSgdStep:
     def test_weight_decay_enters_velocity(self):
         spec = enc.EncoderSpec((2, 2), "tanh")
         params = enc.EncoderParams(spec, [np.full((2, 2), 2.0)], [np.zeros(2)])
-        state = enc.init_optimizer(params, lr=1.0, momentum=0.0, weight_decay=0.5)
+        state = enc.init_optimizer(params, enc.OptimizerSettings(lr=1.0, momentum=0.0, weight_decay=0.5))
         enc.sgd_step(params, [(np.zeros((2, 2)), np.zeros(2))], state)
         # v = 0.5 * 2.0 = 1.0; w = 2.0 - 1.0
         assert np.allclose(params.weights[0], 1.0, atol=1e-15)
@@ -168,7 +168,7 @@ class TestDeterminism:
             rng = Rng(seed)
             spec = enc.EncoderSpec((4, 8, 4), "tanh")
             params = enc.init_params(spec, rng.substream("init"))
-            state = enc.init_optimizer(params, lr=0.05)
+            state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.05))
             data_rng = rng.substream("data")
             for _ in range(100):
                 x = data_rng.normal((8, 4))

@@ -190,6 +190,16 @@ class TestEmbeddingBatchValidation:
         with pytest.raises(ValidationError):
             EmbeddingBatch(v, v.copy(), ["a", "b"])
 
+    def test_nan_coordinate_rejected(self, rng):
+        z = l2_normalize(rng.normal((4, 3)))
+        z[2, 0] = np.nan
+        with pytest.raises(ValidationError, match="view_b row 0"):
+            EmbeddingBatch(z[:2], z[2:], ["a", "b"])
+        z = l2_normalize(rng.normal((4, 3)))
+        z[0, 2] = np.nan
+        with pytest.raises(ValidationError, match="view_a row 0"):
+            EmbeddingBatch(z[:2], z[2:], ["a", "b"])
+
     def test_label_alignment(self, rng):
         z = l2_normalize(rng.normal((4, 3)))
         with pytest.raises(ValidationError):

@@ -9,8 +9,10 @@ import pytest
 from dystress import harness
 from dystress.errors import ValidationError
 from dystress.harness import (
+    ExperimentConfig,
     SweepSpec,
     config_from_dict,
+    default_config,
     metrics_from_dump,
     run_experiment,
     run_sweep,
@@ -38,6 +40,46 @@ TINY = {
 }
 
 
+DEFAULT_CONFIG_JSON = """{
+  "config_version": 1,
+  "seed": 0,
+  "synthetic": {
+    "num_classes": 10,
+    "samples_per_class": 100,
+    "ambient_dim": 32,
+    "intra_class_sigma": 0.2,
+    "augment_sigma": 0.15,
+    "long_tail_rho": 1.0
+  },
+  "encoder": {
+    "layer_widths": [
+      32,
+      64,
+      16
+    ],
+    "nonlinearity": "tanh",
+    "init_scale": 1.0
+  },
+  "profile": {
+    "variant": "cosine_vanilla",
+    "tau_min": 0.1,
+    "tau_max": 0.2
+  },
+  "loss_mode": "detached",
+  "optimizer": {
+    "lr": 0.06,
+    "momentum": 0.9,
+    "weight_decay": 0.0005
+  },
+  "batch_size": 128,
+  "epochs": 200,
+  "eval_every": 20,
+  "knn_k": 20,
+  "knn_weight_temperature": 0.07,
+  "out_dir": null
+}"""
+
+
 def tiny_config(**over):
     raw = json.loads(json.dumps(TINY))
     raw.update(over)
@@ -52,6 +94,17 @@ class TestConfigParsing:
         assert config.profile == TemperatureProfile.cosine_vanilla(0.1, 0.2)
         assert config.optimizer.lr == 0.06
         assert config.loss_mode is LossMode.DETACHED
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        assert config_from_dict({"config_version": 1}) == ExperimentConfig() == default_config()
+
+    def test_default_config_json_golden(self):
+        assert json.dumps(ExperimentConfig().to_dict(), indent=2) == DEFAULT_CONFIG_JSON
+
+    def test_seed_override_reaches_the_data(self):
+        a = run_experiment(dataclasses.replace(tiny_config(epochs=0), seed=5))
+        b = run_experiment(tiny_config(epochs=0, seed=5))
+        assert a.final_report == b.final_report
 
     def test_version_required(self):
         with pytest.raises(ValidationError, match="config_version"):
@@ -163,7 +216,7 @@ class TestRunExperiment:
 
         config = tiny_config()
         data_path = tmp_path / "data.jsonl"
-        write_dataset(data_path, generate(config.synthetic))
+        write_dataset(data_path, generate(config.synthetic, config.seed))
         result = run_experiment(config, data_path=data_path)
         assert result.final_report.epoch == config.epochs
 
@@ -172,7 +225,7 @@ class TestRunExperiment:
 
         other = dataclasses.replace(tiny_config().synthetic, ambient_dim=6)
         data_path = tmp_path / "data.jsonl"
-        write_dataset(data_path, generate(other))
+        write_dataset(data_path, generate(other, 3))
         with pytest.raises(ValidationError, match="ambient_dim"):
             run_experiment(tiny_config(), data_path=data_path)
 

@@ -151,6 +151,13 @@ class TestKnnProbe:
         with pytest.raises(ValidationError):
             knn_probe(np.eye(2), np.array([0, 1]), np.eye(2), np.array([0, 1]), k=3)
 
+    @pytest.mark.parametrize("weight_temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_weight_temperature_rejected(self, weight_temperature):
+        train = np.eye(3)
+        labels = np.array([0, 1, 2])
+        with pytest.raises(ValidationError, match="weight temperature"):
+            knn_probe(train, labels, train, labels, k=1, weight_temperature=weight_temperature)
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             knn_probe(np.zeros((0, 2)), np.array([]), np.eye(2), np.array([0, 1]), k=1)

@@ -137,6 +137,56 @@ class TestTau:
             again = TemperatureProfile.from_spec_string(profile.spec_string())
             assert again == profile
 
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("constant:0.1", TemperatureProfile.constant(0.1)),
+            ("cosine:0.1:0.2", TemperatureProfile.cosine_vanilla(0.1, 0.2)),
+            ("Cosine_Vanilla:0.1:0.2", TemperatureProfile.cosine_vanilla(0.1, 0.2)),
+            ("shifted:0.1:0.2:-0.4:0.7", TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7)),
+            ("cosine_shifted:0.1:0.2:-0.4:0.7", TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7)),
+            ("linear:0.1:0.2", TemperatureProfile.linear(0.1, 0.2)),
+            ("exp:0.1:0.2", TemperatureProfile.exponential(0.1, 0.2)),
+            ("exp:0.1:0.2:3", TemperatureProfile.exponential(0.1, 0.2, 3.0)),
+            ("exponential:0.1:0.2", TemperatureProfile.exponential(0.1, 0.2)),
+            ("exponential:0.1:0.2:3", TemperatureProfile.exponential(0.1, 0.2, 3.0)),
+            ("monotonic:0.1:0.2", TemperatureProfile.monotonic_cosine(0.1, 0.2)),
+            ("monotonic_cosine:0.1:0.2", TemperatureProfile.monotonic_cosine(0.1, 0.2)),
+        ],
+    )
+    def test_spec_string_spellings(self, spec, expected):
+        assert TemperatureProfile.from_spec_string(spec) == expected
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "constant", "constant:0.1:0.2", "cosine:0.1", "cosine:0.1:0.2:0.3",
+            "shifted:0.1:0.2:-0.4", "shifted:0.1:0.2:-0.4:0.7:1", "exp:0.1", "exp:0.1:0.2:3:4",
+            "vanilla:0.1:0.2", "cosine:0.1:x",
+        ],
+    )
+    def test_spec_string_rejected(self, spec):
+        with pytest.raises(ValidationError):
+            TemperatureProfile.from_spec_string(spec)
+
+    def test_spec_string_output(self):
+        assert [p.spec_string() for p in ALL_PROFILES] == [
+            "constant:0.13", "cosine:0.1:0.2", "shifted:0.1:0.2:-0.4:0.7", "shifted:0.1:0.2:0.2:0.6",
+            "linear:0.07:0.3", "exponential:0.07:0.3:2", "monotonic:0.1:0.2",
+        ]
+
+    def test_parameters_that_break_the_formula_rejected(self):
+        # sharpness 800 overflows exp(a); below ~1e-16 exp(a) - 1 is 0; a
+        # subnormal scale makes pi / scale infinite
+        for sharpness in (800.0, 1e-17, float("nan")):
+            with pytest.raises(ValidationError, match="sharpness"):
+                TemperatureProfile.exponential(0.1, 0.2, sharpness=sharpness)
+        for scale in (5e-324, float("nan")):
+            with pytest.raises(ValidationError, match="scale"):
+                TemperatureProfile.cosine_shifted(0.1, 0.2, shift=0.0, scale=scale)
+        with pytest.raises(ValidationError):
+            TemperatureProfile.cosine_vanilla(0.1, float("inf"))
+
     def test_dict_round_trip_and_unknown_fields(self):
         p = TemperatureProfile.cosine_shifted(0.1, 0.2, shift=-0.2, scale=0.6)
         assert TemperatureProfile.from_dict(p.to_dict()) == p
