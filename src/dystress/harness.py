@@ -15,6 +15,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -383,7 +384,10 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: Optional[int] = 
     """Run every config; write sweep_dir/sweep.csv ordered by (config, epoch).
 
     A failed run contributes a single row with its error in the status column
-    and empty metric columns; remaining runs still execute. Returns the CSV path.
+    and empty metric columns; remaining runs still execute. A worker process
+    that dies (a signal, the OOM killer) breaks the pool: the runs that had
+    finished keep their rows, every other run gets a `BrokenProcessPool` error
+    row, and the CSV is still written. Returns the CSV path.
     """
     sweep_dir = Path(sweep_dir)
     configs = sweep.expand(sweep_dir)
@@ -392,11 +396,16 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: Optional[int] = 
     # never gets more processes than it has configs to run
     worker_count = min(resolve_worker_count(workers), len(entries))
     if worker_count > 1:
+        outcomes = []
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            outcomes = list(pool.map(_run_sweep_entry, entries))
+            futures = [pool.submit(_run_sweep_entry, e) for e in entries]
+            for index, future in enumerate(futures):
+                try:
+                    outcomes.append(future.result())
+                except BrokenProcessPool as err:
+                    outcomes.append((index, f"error: BrokenProcessPool: {err}", [], 0.0))
     else:
         outcomes = [_run_sweep_entry(e) for e in entries]
-    outcomes.sort(key=lambda item: item[0])
 
     rows = []
     for index, status, reports, _elapsed in outcomes:

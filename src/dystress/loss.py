@@ -10,13 +10,15 @@ training. Both modes share the forward value.
 The loss is the mean (not sum) over the 2N anchor rows of the cross-entropy
 against the positive column, so learning rates are batch-size independent.
 
-Training, evaluation and finite-difference checks share one kernel that works
-on the 2Nx2N Gram layout of the stacked embeddings [a; b] with the diagonal
-masked: row r holds z_r . z_c for every c, and its positive sits at column
+Training and finite-difference checks share one kernel that works on the
+2Nx2N Gram layout of the stacked embeddings [a; b] with the diagonal masked:
+row r holds z_r . z_c for every c, and its positive sits at column
 (r + N) mod 2N. The kernel evaluates the temperature profile once per
-unordered pair. The 2Nx(2N-1) `LogitsBlock` path (`forward_from_block`,
-`grad_wrt_similarity`, `chain_to_embeddings`) is the diagnostic layout and the
-reference the kernel is tested against.
+unordered pair. The eval loss (`forward`) has the same value but streams: it
+walks row chunks of the same NxN products, so its memory grows with N, not
+N^2. The 2Nx(2N-1) `LogitsBlock` path
+(`forward_from_block`, `grad_wrt_similarity`, `chain_to_embeddings`) is the
+diagnostic layout and the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from .errors import BatchTooSmallError, NumericError, ValidationError
 from .geometry import EmbeddingBatch, LogitsBlock, clamp_similarities
-from .numeric import row_log_sum_exp, row_sums, stable_row_softmax
+from .numeric import row_chunks, row_log_sum_exp, row_sums, stable_row_softmax
 from .temperature import TemperatureProfile
 
 
@@ -136,9 +138,66 @@ def forward_from_block(block: LogitsBlock) -> float:
     return float(np.mean(losses))
 
 
+def _scaled_tile(products: np.ndarray, profile: TemperatureProfile) -> np.ndarray:
+    """Logits s / tau of a tile of raw dot products, as the kernel forms them."""
+    s = clamp_similarities(products)
+    return s * (1.0 / profile.tau(s))
+
+
+def _fold_log_sum_exp(peak: np.ndarray, total: np.ndarray, rows: slice, tile: np.ndarray) -> None:
+    """Fold the rows of `tile` into the running log-sum-exp of `rows`.
+
+    `peak` is each row's running maximum and `total` its sum of
+    exp(logit - peak). A row that has seen only -inf keeps peak -inf and
+    total 0.
+    """
+    new_peak = np.maximum(peak[rows], tile.max(axis=1))
+    shift = np.where(np.isfinite(new_peak), new_peak, 0.0)
+    total[rows] = total[rows] * np.exp(peak[rows] - shift) + np.sum(np.exp(tile - shift[:, None]), axis=1)
+    peak[rows] = new_peak
+
+
 def forward(batch: EmbeddingBatch, profile: TemperatureProfile) -> float:
-    """Loss of a batch under a temperature profile."""
-    return _infonce_kernel(batch.view_a, batch.view_b, profile)
+    """Loss of a batch under a temperature profile: the kernel's value, streamed.
+
+    Walks row chunks of a.b^T and of the kernel's packed within-view matrix
+    (a.a^T above the diagonal, b.b^T below it), so the profile sees each
+    unordered pair once and no 2Nx2N matrix is formed. Every tile is folded
+    into the running log-sum-exp of its rows and, transposed, of its columns;
+    the positives are the cross tiles' diagonals.
+    """
+    view_a, view_b, n = batch.view_a, batch.view_b, batch.n
+    if n < 2:
+        raise BatchTooSmallError(
+            f"need at least 2 samples (got {n}); a single-sample batch has no negatives"
+        )
+    peak = np.full(2 * n, -np.inf)
+    total = np.zeros(2 * n)
+    positive = np.empty(n)
+    # chunks of at most N rows: every product stays within the NxN shapes of
+    # the training kernel, below the sizes where OpenBLAS starts threads that
+    # unpinned sweep workers oversubscribe
+    for start, stop in row_chunks(n, n):
+        rows = slice(start, stop)
+        cross = _scaled_tile(view_a[rows] @ view_b.T, profile)
+        positive[rows] = np.diagonal(cross[:, rows])
+        _fold_log_sum_exp(peak, total, rows, cross)
+        _fold_log_sum_exp(peak, total, slice(n, 2 * n), cross.T)
+        columns, anchors = np.arange(n)[None, :], np.arange(start, stop)[:, None]
+        upper = columns > anchors
+        packed = _scaled_tile(np.where(upper, view_a[rows] @ view_a.T, view_b[rows] @ view_b.T), profile)
+        # a's pairs lie right of column `start`, b's left of column `stop`
+        for offset, cols, pairs in (
+            (0, slice(start, n), upper),
+            (n, slice(0, stop), columns < anchors),
+        ):
+            within = np.where(pairs[:, cols], packed[:, cols], -np.inf)
+            _fold_log_sum_exp(peak, total, slice(offset + start, offset + stop), within)
+            _fold_log_sum_exp(peak, total, slice(offset + cols.start, offset + cols.stop), within.T)
+    lse = peak + np.log(total)
+    if not np.all(np.isfinite(lse)):
+        raise NumericError("similarity logits contain non-finite entries")
+    return float(np.mean(lse - np.tile(positive, 2)))
 
 
 def grad_wrt_similarity(block: LogitsBlock, mode: LossMode = LossMode.DETACHED) -> np.ndarray:

@@ -8,6 +8,9 @@ per-class means and deliberately NOT re-normalized to the sphere.
 Tolerance is the mean cosine similarity over same-label distinct pairs.
 This definition comes from the hardness-aware-contrastive literature, not
 from a formula of our own; it excludes self-pairs and cross-view positives.
+
+Every metric that looks at pairs walks row chunks of its Gram matrix
+(`numeric.row_chunks`) in a fixed order, so eval memory grows with N, not N^2.
 """
 
 from __future__ import annotations
@@ -19,9 +22,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .numeric import fmt
-from .geometry import EmbeddingBatch, PairKind, build_logits_block, classify_pairs
-from .temperature import TemperatureProfile
+from .numeric import fmt, row_chunks
+from .geometry import EmbeddingBatch, PairKind, clamp_similarities
 
 DEFAULT_KNN_K = 20
 DEFAULT_KNN_WEIGHT_TEMPERATURE = 0.07
@@ -53,12 +55,16 @@ class Histogram:
         return int(self.counts[kind].sum())
 
 
-def _pairwise_sq_dists(points: np.ndarray) -> np.ndarray:
-    """Squared distances of all unordered distinct pairs (condensed)."""
-    gram = points @ points.T
-    sq_norms = np.diag(gram)
-    i, j = np.triu_indices(points.shape[0], k=1)
-    return np.maximum(sq_norms[i] + sq_norms[j] - 2.0 * gram[i, j], 0.0)
+def _upper_tiles(points: np.ndarray):
+    """(rows, gram, upper) over row chunks of the Gram matrix's upper triangle.
+
+    `gram` is points[rows] @ points[rows.start:].T and `upper` marks its
+    entries right of the diagonal: each unordered distinct pair exactly once.
+    """
+    n = points.shape[0]
+    for start, stop in row_chunks(n, n):
+        upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
+        yield slice(start, stop), points[start:stop] @ points[start:].T, upper
 
 
 def uniformity(points: np.ndarray) -> float:
@@ -66,13 +72,19 @@ def uniformity(points: np.ndarray) -> float:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValidationError("uniformity needs at least 2 points")
-    return float(np.log(np.mean(np.exp(-2.0 * _pairwise_sq_dists(points)))))
+    n = points.shape[0]
+    sq_norms = np.einsum("ij,ij->i", points, points)
+    total = 0.0
+    for rows, gram, upper in _upper_tiles(points):
+        sq_dists = np.maximum(sq_norms[rows, None] + sq_norms[None, rows.start :] - 2.0 * gram, 0.0)
+        total += np.sum(np.exp(-2.0 * sq_dists), where=upper)
+    return float(np.log(total / (n * (n - 1) // 2)))
 
 
 def alignment(batch: EmbeddingBatch) -> float:
     """Mean squared distance between the two views of each sample; in [0, 4]."""
     diff = batch.view_a - batch.view_b
-    return float(np.mean(np.cumsum(diff * diff, axis=1)[:, -1]))
+    return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
 
 
 def interclass_uniformity(points: np.ndarray, labels: np.ndarray) -> float:
@@ -94,12 +106,14 @@ def tolerance(points: np.ndarray, labels: np.ndarray) -> float:
     labels = np.asarray(labels)
     if points.shape[0] != labels.shape[0]:
         raise ValidationError("points and labels must align")
-    i, j = np.triu_indices(points.shape[0], k=1)
-    same = labels[i] == labels[j]
-    if not np.any(same):
+    total, count = 0.0, 0
+    for rows, gram, upper in _upper_tiles(points):
+        same = upper & (labels[rows, None] == labels[None, rows.start :])
+        total += np.sum(clamp_similarities(gram), where=same)
+        count += np.count_nonzero(same)
+    if count == 0:
         raise ValidationError("no same-label pair exists")
-    sims = np.clip(np.einsum("pd,pd->p", points[i[same]], points[j[same]]), -1.0, 1.0)
-    return float(np.mean(sims))
+    return float(total / count)
 
 
 def knn_probe(
@@ -126,17 +140,19 @@ def knn_probe(
         raise ValidationError(f"k must be in [1, {train_points.shape[0]}], got {k}")
     if not (0.0 < weight_temperature < np.inf):
         raise ValidationError(f"weight temperature must be positive and finite, got {weight_temperature!r}")
-    classes = np.unique(train_labels)
-    class_of = {c: idx for idx, c in enumerate(classes)}
-    sims = np.clip(test_points @ train_points.T, -1.0, 1.0)
+    classes, class_index = np.unique(train_labels, return_inverse=True)
     correct = 0
-    for t in range(test_points.shape[0]):
-        order = np.argsort(-sims[t], kind="stable")[:k]
-        votes = np.zeros(classes.size)
-        for idx in order:
-            votes[class_of[int(train_labels[idx])]] += np.exp(sims[t, idx] / weight_temperature)
-        predicted = classes[int(np.argmax(votes))]  # argmax takes the smallest index on ties
-        correct += int(predicted == test_labels[t])
+    for start, stop in row_chunks(test_points.shape[0], train_points.shape[0]):
+        sims = clamp_similarities(test_points[start:stop] @ train_points.T)
+        # a stable sort of -s: equal similarities keep the lower train index first
+        nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        weights = np.exp(np.take_along_axis(sims, nearest, axis=1) / weight_temperature)
+        votes = np.zeros((stop - start, classes.size))
+        rows = np.arange(stop - start)
+        for rank in range(k):  # votes add up in rank order
+            votes[rows, class_index[nearest[:, rank]]] += weights[:, rank]
+        predicted = classes[np.argmax(votes, axis=1)]  # argmax takes the smallest index on ties
+        correct += int(np.count_nonzero(predicted == test_labels[start:stop]))
     return correct / test_points.shape[0]
 
 
@@ -145,18 +161,35 @@ def pair_histograms(
     bins: int = HISTOGRAM_BINS,
     annotations: Optional[dict[str, float]] = None,
 ) -> Histogram:
-    """Binned TP/FN/TN similarity counts over all logits-block entries."""
+    """Binned TP/FN/TN similarity counts over all logits-block entries.
+
+    The counts come from row chunks of a.b^T, a.a^T and b.b^T; the block
+    itself is never built.
+    """
     if batch.labels is None:
         raise ValidationError("pair histograms require labels")
     if bins < 1:
         raise ValidationError("need at least one bin")
-    block = build_logits_block(batch, TemperatureProfile.constant(1.0))
-    kinds = classify_pairs(batch)
+    n, labels = batch.n, batch.labels
     edges = np.linspace(-1.0, 1.0, bins + 1)
-    counts = {}
-    for kind in PairKind:
-        values = block.s[kinds == kind]
-        counts[kind], _ = np.histogram(values, bins=edges)
+    counts = {kind: np.zeros(bins, dtype=np.int64) for kind in PairKind}
+
+    def add(kind: PairKind, values: np.ndarray, times: int = 1) -> None:
+        counts[kind] += times * np.histogram(values, bins=edges)[0]
+
+    for start, stop in row_chunks(n, n):
+        same = labels[start:stop, None] == labels[None, :]
+        own = np.arange(n)[None, :] == np.arange(start, stop)[:, None]
+        other_same = same & ~own
+        cross = clamp_similarities(batch.view_a[start:stop] @ batch.view_b.T)
+        # the block holds every cross-view entry twice: in a_i's row and in b_j's
+        add(PairKind.TRUE_POSITIVE, cross[own], 2)
+        add(PairKind.FALSE_NEGATIVE, cross[other_same], 2)
+        add(PairKind.TRUE_NEGATIVE, cross[~same], 2)
+        for view in (batch.view_a, batch.view_b):
+            within = clamp_similarities(view[start:stop] @ view.T)
+            add(PairKind.FALSE_NEGATIVE, within[other_same])
+            add(PairKind.TRUE_NEGATIVE, within[~same])
     return Histogram(bin_edges=edges, counts=counts, annotations=dict(annotations or {}))
 
 

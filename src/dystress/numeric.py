@@ -4,6 +4,10 @@ Everything here is float64. Row reductions inside kernels go through
 `row_sums`, NumPy's pairwise summation along each contiguous row. Its order
 depends only on the row length, not on the data or on where the array sits in
 memory, so repeated runs produce bit-identical results on the same machine.
+
+Evaluation over a whole dataset walks pair matrices in row chunks of at most
+`CHUNK_ENTRIES` entries (`row_chunks`), always in the same order, so its peak
+memory depends on the chunk size and not on the square of the dataset size.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 DEFAULT_FD_EPS = 1e-6
+CHUNK_ENTRIES = 2**18  # float64 entries per chunk of a pair matrix: 2 MiB
 
 
 def _stream_id(tag: str) -> int:
@@ -60,6 +65,18 @@ class Rng:
 def row_sums(m: np.ndarray) -> np.ndarray:
     """Row sums by pairwise summation, in an order fixed by the row length."""
     return np.sum(m, axis=1)
+
+
+def row_chunks(n_rows: int, width: int):
+    """(start, stop) of consecutive row chunks of an n_rows x width matrix.
+
+    Each chunk holds at most CHUNK_ENTRIES entries, and at least one row.
+    No chunk has more rows than the matrix, so a chunk of an NxN pair matrix
+    is never larger than the matrix itself.
+    """
+    step = max(1, min(n_rows, CHUNK_ENTRIES // max(width, 1)))
+    for start in range(0, n_rows, step):
+        yield start, min(start + step, n_rows)
 
 
 def stable_row_softmax(logits: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ sign of s over a grid of (delta, K, c) cells.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -80,6 +80,11 @@ class TemperatureProfile:
     def __post_init__(self):
         if self.variant not in PROFILE_FORMS:
             raise ValidationError(f"unknown profile variant {self.variant!r}")
+        carried = PROFILE_FORMS[self.variant].values
+        for f in fields(self):  # a shape field the variant ignores must keep its default
+            value = getattr(self, f.name)
+            if f.default is not MISSING and f.name not in carried and value != f.default:
+                raise ValidationError(f"{self.variant} profile takes no {f.name} (got {value!r})")
         if not (0.0 < self.tau_min <= self.tau_max < math.inf):
             raise ValidationError(
                 f"need 0 < tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})"
@@ -245,8 +250,7 @@ class OdeParams:
     c: float
 
     def __post_init__(self):
-        if self.delta <= 0 or self.bigK <= 0 or self.tau_max <= 0:
-            raise ValidationError("delta, bigK, and tau_max must be positive")
+        _check_curve_args(self.delta, self.bigK, self.tau_max)
 
 
 @dataclass
@@ -259,10 +263,17 @@ class OdeCurve:
     params: OdeParams
 
 
+def _check_curve_args(delta: float, bigK: float, tau_max: float) -> None:
+    """The curve parameters must be positive and finite (NaN fails too)."""
+    if not all(0.0 < x < math.inf for x in (delta, bigK, tau_max)):
+        raise ValidationError(
+            f"delta, bigK, and tau_max must be positive and finite, got ({delta}, {bigK}, {tau_max})"
+        )
+
+
 def _check_constant_args(delta: float, bigK: float, tau_max: float) -> float:
     """Validate the curve parameters and return delta*K."""
-    if delta <= 0 or bigK <= 0 or tau_max <= 0:
-        raise ValidationError("delta, bigK, and tau_max must be positive")
+    _check_curve_args(delta, bigK, tau_max)
     if 1.0 / tau_max > 709.0:
         raise NumericError(f"exp(1/tau_max) overflows float64 for tau_max = {tau_max}")
     return delta * bigK

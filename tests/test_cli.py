@@ -85,6 +85,23 @@ def test_malformed_config_value_exit_1(tmp_path, capsys, command, payload):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"variant": "cosine_vanilla", "tau_min": 0.1, "tau_max": 0.2, "shift": 0.5},
+        {"variant": "linear", "tau_min": 0.1, "tau_max": 0.2, "sharpness": 3.0},
+        {"variant": "cosine_shifted", "tau_min": 0.1, "tau_max": 0.2, "shift": 0.2, "scale": 0.6,
+         "sharpness": 2.0},
+    ],
+)
+def test_profile_field_its_variant_ignores_exit_1(tmp_path, capsys, profile):
+    config_path = write_config(tmp_path, {**TINY_CONFIG, "profile": profile})
+    out_dir = tmp_path / "out"
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert "takes no" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 class TestTempProfile:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
@@ -155,6 +172,17 @@ class TestOdeVerify:
         assert lines[0] == "delta,bigk,c,frac_correct_sign,valid_points"
         assert len(lines) == 5
 
+
+    @pytest.mark.parametrize("option", ["--delta", "--bigk", "--tau-max"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_parameter_exit_1(self, tmp_path, capsys, option, value):
+        args = {"--delta": "1.0", "--bigk": "10", "--tau-max": "0.2", option: value}
+        argv = ["ode-verify", "--c-count", "2", "--s-count", "11", "--out", str(tmp_path / "x.csv")]
+        for name, text in args.items():
+            argv += [name, text]
+        assert main(argv) == EXIT_VALIDATION
+        assert "positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_insufficient_grid_exit_2(self, tmp_path, capsys):
         # a 2-point s grid cannot support central differences: every cell is

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -78,6 +81,17 @@ DEFAULT_CONFIG_JSON = """{
   "knn_weight_temperature": 0.07,
   "out_dir": null
 }"""
+
+
+_real_sweep_entry = harness._run_sweep_entry
+DYING_INDEX = 1
+
+
+def _dying_sweep_entry(args):
+    """Sweep entry whose worker process dies, as under the OOM killer, for one config."""
+    if args[0] == DYING_INDEX:
+        os._exit(1)
+    return _real_sweep_entry(args)
 
 
 def tiny_config(**over):
@@ -354,8 +368,10 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         sweep = SweepSpec(base=tiny_config(epochs=0), seeds=[0, 1, 2])
@@ -363,3 +379,28 @@ class TestSweep:
         assert sizes == [3]
         run_sweep(SweepSpec(base=tiny_config(epochs=0)), sweep_dir=tmp_path / "one", workers=64)
         assert sizes == [3]  # a single config runs in-process
+
+    def test_dead_worker_keeps_the_sweep(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_run_sweep_entry", _dying_sweep_entry)
+        sweep = SweepSpec(base=tiny_config(epochs=1), seeds=[0, 1, 2, 3])
+        outcome = {}
+
+        def run():
+            outcome["csv"] = run_sweep(sweep, sweep_dir=tmp_path, workers=2)
+
+        # the sweep runs in a thread so that a hung pool fails the test instead of the suite
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+        assert not runner.is_alive(), "sweep did not return after its worker died"
+        assert outcome["csv"] == tmp_path / "sweep.csv"
+        lines = outcome["csv"].read_text().strip().splitlines()
+        by_index = {}
+        for line in lines[1:]:
+            by_index.setdefault(int(line.split(",")[0]), []).append(line)
+        assert sorted(by_index) == [0, 1, 2, 3]
+        dead = by_index[DYING_INDEX]
+        assert len(dead) == 1 and "error: BrokenProcessPool" in dead[0]
+        assert dead[0].count(",") == lines[0].count(",")
+        for index, rows in by_index.items():  # every other run finished or lost its pool
+            assert all(",ok," in row for row in rows) or "BrokenProcessPool" in rows[0], index

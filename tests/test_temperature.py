@@ -194,6 +194,25 @@ class TestTau:
             TemperatureProfile.from_dict({"variant": "constant", "tau_min": 0.1, "tau_max": 0.1, "oops": 1})
 
 
+    @pytest.mark.parametrize(
+        "variant, field, value",
+        [
+            ("cosine_vanilla", "shift", 0.5),
+            ("constant", "scale", 0.5),
+            ("linear", "sharpness", 2.0),
+            ("exponential", "shift", -0.2),
+            ("monotonic_cosine", "sharpness", float("nan")),
+        ],
+    )
+    def test_field_the_variant_ignores_rejected(self, variant, field, value):
+        tau_max = 0.1 if variant == "constant" else 0.2
+        with pytest.raises(ValidationError, match=f"takes no {field}"):
+            TemperatureProfile(variant, 0.1, tau_max, **{field: value})
+        # the default value is the field's absence, so it is accepted
+        default = TemperatureProfile.__dataclass_fields__[field].default
+        TemperatureProfile(variant, 0.1, tau_max, **{field: default})
+
+
 class TestProfileCurve:
     def test_shape_and_span(self):
         table = profile_curve(TemperatureProfile.cosine_vanilla(0.1, 0.2), 5)
@@ -255,6 +274,12 @@ class TestBoundaryConstants:
             boundary_constants(0.0, 1.0, 0.2)
         with pytest.raises(ValidationError):
             family_bounds(1.0, 0.0, 0.2)
+        for bad in (float("nan"), float("inf"), -1.0):
+            for args in ((bad, 10.0, 0.2), (1.0, bad, 0.2), (1.0, 10.0, bad)):
+                with pytest.raises(ValidationError, match="positive and finite"):
+                    family_bounds(*args)
+                with pytest.raises(ValidationError, match="positive and finite"):
+                    OdeParams(*args, c=-11.0)
         with pytest.raises(NumericError):
             family_bounds(1.0, 1.0, 1.0 / 800.0)
 
