@@ -111,9 +111,10 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_temp_profile(args) -> int:
-    # each option's dest is the profile field it sets
-    form = temperature.PROFILE_FORMS[temperature.variant_named(args.variant)]
-    profile = TemperatureProfile.from_values(args.variant, [getattr(args, name) for name in form.values])
+    profile = TemperatureProfile(
+        temperature.variant_named(args.variant), args.tau_min, args.tau_max,
+        shift=args.shift, scale=args.scale, sharpness=args.sharpness,
+    )
     temperature.write_profile_csv(args.out, profile, args.samples)
     print(f"wrote {args.samples} samples to {args.out}")
     return EXIT_OK

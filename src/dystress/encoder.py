@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError, check_int
 from .geometry import l2_normalize
-from .numeric import Rng
+from .numeric import Rng, row_sums
 
 CHECKPOINT_MAGIC = "DYSTRESS-CKPT-1"
 NONLINEARITIES = ("tanh", "relu")
@@ -147,7 +147,7 @@ def backward(
     z = cache.unit_output
     if g_z.shape != z.shape:
         raise ValidationError(f"dL_dz shape {g_z.shape} does not match outputs {z.shape}")
-    radial = np.cumsum(z * g_z, axis=1)[:, -1:]
+    radial = row_sums(z * g_z)[:, None]
     g = (g_z - radial * z) / cache.norms[:, None]
     grads: list[tuple[np.ndarray, np.ndarray]] = [(None, None)] * params.spec.num_layers
     last = params.spec.num_layers - 1

@@ -10,15 +10,15 @@ training. Both modes share the forward value.
 The loss is the mean (not sum) over the 2N anchor rows of the cross-entropy
 against the positive column, so learning rates are batch-size independent.
 
-Training and finite-difference checks share one kernel that works on the
-2Nx2N Gram layout of the stacked embeddings [a; b] with the diagonal masked:
-row r holds z_r . z_c for every c, and its positive sits at column
-(r + N) mod 2N. The kernel evaluates the temperature profile once per
-unordered pair. The eval loss (`forward`) has the same value but streams: it
-walks row chunks of the same NxN products, so its memory grows with N, not
-N^2. The 2Nx(2N-1) `LogitsBlock` path
-(`forward_from_block`, `grad_wrt_similarity`, `chain_to_embeddings`) is the
-diagnostic layout and the reference both are tested against.
+Training, eval and finite-difference checks share one function. It walks
+row chunks of the NxN products a.b^T and a packed within-view matrix (a.a^T
+above the diagonal, b.b^T below it), so the profile sees each unordered pair
+once and no 2Nx2N matrix is formed. Every logit s / tau is shifted by the
+fixed constant 1/tau_min, which bounds its magnitude, so one exp per pair
+serves both of the pair's anchor rows and no running maximum is kept. The
+2Nx(2N-1) `LogitsBlock` path (`forward_from_block`, `grad_wrt_similarity`,
+`chain_to_embeddings`) is the diagnostic layout and the reference the
+function is tested against.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BatchTooSmallError, NumericError, ValidationError
-from .geometry import EmbeddingBatch, LogitsBlock, clamp_similarities
+from .geometry import EmbeddingBatch, LogitsBlock
 from .numeric import row_chunks, row_log_sum_exp, row_sums, stable_row_softmax
 from .temperature import TemperatureProfile
 
@@ -41,163 +41,121 @@ class LossMode(Enum):
 
 @dataclass
 class GradientBundle:
-    """Loss value with all intermediate gradients of one batch."""
+    """Loss value and embedding gradient of one batch."""
 
     loss: float
-    probs: np.ndarray  # 2N x 2N Gram-layout row softmax, zero diagonal
-    dL_ds: np.ndarray  # 2N x 2N Gram-layout gradient w.r.t. raw similarities, zero diagonal
     dL_dz: np.ndarray  # 2N x D displacement vectors (view-a rows first)
 
 
-def _gram(cross: np.ndarray, packed: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Mirror two NxN pair matrices into the 2Nx2N Gram layout.
+def _shifted_exp(s: np.ndarray, inv_tau: np.ndarray, shift: float) -> np.ndarray:
+    """exp(s / tau - shift), in one new array."""
+    e = s * inv_tau
+    e -= shift
+    return np.exp(e, out=e)
 
-    `cross` holds the a_i . b_j entries. `packed` holds view a's within-view
-    pairs in its strict upper triangle (`upper`) and view b's in its strict
-    lower one. The result is [[W_a, X], [X^T, W_b]] with W_a and W_b
-    symmetric; its diagonal is left to the caller.
+
+def _fold_chunk(rows, view_a, view_b, profile, temperatures, shift, sums, positive):
+    """Add anchor rows `rows` of both NxN pair matrices into the per-row sums.
+
+    `sums` holds, per anchor row of view a and then of view b, the sum of
+    exp(logit - shift) over its 2N - 1 partners. A cross tile entry (i, j)
+    belongs to a-row i and b-row j, a packed entry above the diagonal to
+    a-rows i and j, one below it to b-rows i and j; so each tile adds its row
+    and its column sums. Returns the tiles; a caller that drops them frees
+    them before the next chunk.
     """
-    n = cross.shape[0]
-    g = np.empty((2 * n, 2 * n))
-    g[:n, :n] = np.where(upper, packed, packed.T)
-    g[:n, n:] = cross
-    g[n:, :n] = cross.T
-    g[n:, n:] = np.where(upper, packed.T, packed)
-    return g
+    n = view_a.shape[0]
+    anchors, columns = np.arange(rows.start, rows.stop)[:, None], np.arange(n)
+    upper = columns > anchors
+    # clamping, packing and 1/tau work in place: a fresh tile costs page
+    # faults whenever the heap was trimmed after the previous chunk
+    cross = view_a[rows] @ view_b.T
+    packed = view_a[rows] @ view_a.T
+    np.copyto(packed, view_b[rows] @ view_b.T, where=~upper)
+    for s in (cross, packed):
+        np.clip(s, -1.0, 1.0, out=s)
+    if temperatures is None:
+        taus = profile.tau(cross), profile.tau(packed)
+    else:
+        taus = temperatures[0][rows].copy(), temperatures[1][rows].copy()
+    inv_cross, inv_packed = (np.divide(1.0, tau, out=tau) for tau in taus)
+    positive[rows] = np.diagonal(cross[:, rows]) * np.diagonal(inv_cross[:, rows])
+    e_cross = _shifted_exp(cross, inv_cross, shift)
+    e_a = _shifted_exp(packed, inv_packed, shift)
+    e_b = np.where(columns < anchors, e_a, 0.0)
+    e_a *= upper
+    sums[0, rows] += row_sums(e_cross) + row_sums(e_a)
+    sums[0] += e_a.sum(axis=0)
+    sums[1] += e_cross.sum(axis=0) + e_b.sum(axis=0)
+    sums[1, rows] += row_sums(e_b)
+    return cross, packed, inv_cross, inv_packed, e_cross, e_a, e_b
 
 
-def _infonce_kernel(
+def _infonce(
     view_a: np.ndarray,
     view_b: np.ndarray,
     profile: TemperatureProfile,
     mode: LossMode | None = None,
     temperatures: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GradientBundle | float:
-    """Loss, and with a `mode` all gradients, of one two-view batch.
+    """Loss, and with a `mode` its gradient dL/dz, of one two-view batch.
 
-    The similarities come from the NxN products a.b^T, a.a^T and b.b^T and
-    are clamped once. The profile sees each unordered pair once: on the
-    cross-view block and on an NxN matrix packing a's upper within-view
-    triangle with b's lower one. One max/exp/sum pass per row of the masked
-    2Nx2N logits gives the log-sum-exp loss and the softmax, and dL/dz is
-    chained back through the NxN blocks of dL/ds + dL/ds^T.
-    `temperatures` replaces the profile by fixed (cross, packed) values.
-    Returns the loss alone when `mode` is None.
+    Every logit is shifted by 1/tau_min, a bound on |s / tau(s)|, so each
+    exp lies in [exp(-2/tau_min), 1], a normal double for any valid profile,
+    and serves both anchor rows of its pair. The loss walks row chunks; with
+    a `mode` the batch is one chunk, and dL/dz is chained from its NxN
+    blocks. `temperatures` replaces the profile by fixed (cross, packed)
+    values.
     """
     n = view_a.shape[0]
     if n < 2:
         raise BatchTooSmallError(
             f"need at least 2 samples (got {n}); a single-sample batch has no negatives"
         )
-    upper = ~np.tri(n, dtype=bool)  # strict upper triangle
-    cross = clamp_similarities(view_a @ view_b.T)
-    packed = clamp_similarities(np.where(upper, view_a @ view_a.T, view_b @ view_b.T))
-    if temperatures is None:
-        temperatures = profile.tau(cross), profile.tau(packed)
-    inv_cross, inv_packed = 1.0 / temperatures[0], 1.0 / temperatures[1]
-    logits_cross = cross * inv_cross
-    logits = _gram(logits_cross, packed * inv_packed, upper)
-    np.fill_diagonal(logits, -np.inf)
-    peak = logits.max(axis=1, keepdims=True)
-    e = np.exp(np.subtract(logits, peak, out=logits), out=logits)  # in place, saves 2Nx2N memory
-    sums = row_sums(e)
-    lse = peak[:, 0] + np.log(sums)
+    shift = 1.0 / profile.tau_min
+    sums = np.zeros((2, n))
+    positive = np.empty(n)
+    args = view_a, view_b, profile, temperatures, shift, sums, positive
+    if mode is None:
+        for start, stop in row_chunks(n, n):
+            _fold_chunk(slice(start, stop), *args)
+    else:
+        cross, packed, inv_cross, inv_packed, e_cross, e_a, e_b = _fold_chunk(slice(0, n), *args)
+    lse = shift + np.log(sums)
     if not np.all(np.isfinite(lse)):
         raise NumericError("similarity logits contain non-finite entries")
-    loss = float(np.mean(lse - np.tile(np.diagonal(logits_cross), 2)))
+    loss = float(np.mean(lse - positive))
     if mode is None:
         return loss
 
-    probs = e
-    probs /= sums[:, None]
-    # dL/ds = (p - 1[positive]) * factor / 2N; DETACHED's factor is 1/tau
+    # dL/ds = factor * d(lse - positive)/d(logit); DETACHED's factor is 1/tau
     factor_cross, factor_packed = inv_cross, inv_packed
     if mode is LossMode.COUPLED:
         # (tau - s dtau) / tau^2 as (1 - s dtau / tau) / tau: a zero dtau
         # leaves DETACHED's 1/tau bit for bit
         factor_cross = (1.0 - cross * profile.dtau_ds(cross) * inv_cross) * inv_cross
         factor_packed = (1.0 - packed * profile.dtau_ds(packed) * inv_packed) * inv_packed
-    factor_cross = factor_cross / (2 * n)
-    dL_ds = _gram(factor_cross, factor_packed / (2 * n), upper)
-    dL_ds *= probs
-    rows = np.arange(2 * n)
-    cols = (rows + n) % (2 * n)
-    dL_ds[rows, cols] = (probs[rows, cols] - 1.0) * np.tile(np.diagonal(factor_cross), 2)
-    g_aa, g_ab = dL_ds[:n, :n], dL_ds[:n, n:]
-    g_ba, g_bb = dL_ds[n:, :n], dL_ds[n:, n:]
-    g_cross = g_ab + g_ba.T
-    dz_a = (g_aa + g_aa.T) @ view_a + g_cross @ view_b
-    dz_b = g_cross.T @ view_a + (g_bb + g_bb.T) @ view_b
-    return GradientBundle(loss=loss, probs=probs, dL_ds=dL_ds, dL_dz=np.vstack([dz_a, dz_b]))
+    inv_a, inv_b = 1.0 / sums
+    # a pair's logit enters the log-sum-exp of both its anchor rows
+    g_cross = factor_cross * e_cross * (inv_a[:, None] + inv_b[None, :])
+    g_cross[np.diag_indices(n)] -= 2.0 * np.diagonal(factor_cross)
+    g_a = factor_packed * e_a * (inv_a[:, None] + inv_a[None, :])
+    g_b = factor_packed * e_b * (inv_b[:, None] + inv_b[None, :])
+    g_a += g_a.T
+    g_b += g_b.T
+    dL_dz = np.vstack([g_a @ view_a + g_cross @ view_b, g_cross.T @ view_a + g_b @ view_b])
+    dL_dz /= 2 * n
+    return GradientBundle(loss=loss, dL_dz=dL_dz)
 
 
 def forward_from_block(block: LogitsBlock) -> float:
     """Mean cross-entropy of the positive column over all 2N rows."""
-    lse = row_log_sum_exp(block.scaled)
-    losses = lse - block.positive_scaled()
-    return float(np.mean(losses))
-
-
-def _scaled_tile(products: np.ndarray, profile: TemperatureProfile) -> np.ndarray:
-    """Logits s / tau of a tile of raw dot products, as the kernel forms them."""
-    s = clamp_similarities(products)
-    return s * (1.0 / profile.tau(s))
-
-
-def _fold_log_sum_exp(peak: np.ndarray, total: np.ndarray, rows: slice, tile: np.ndarray) -> None:
-    """Fold the rows of `tile` into the running log-sum-exp of `rows`.
-
-    `peak` is each row's running maximum and `total` its sum of
-    exp(logit - peak). A row that has seen only -inf keeps peak -inf and
-    total 0.
-    """
-    new_peak = np.maximum(peak[rows], tile.max(axis=1))
-    shift = np.where(np.isfinite(new_peak), new_peak, 0.0)
-    total[rows] = total[rows] * np.exp(peak[rows] - shift) + np.sum(np.exp(tile - shift[:, None]), axis=1)
-    peak[rows] = new_peak
+    return float(np.mean(row_log_sum_exp(block.scaled) - block.positive_scaled()))
 
 
 def forward(batch: EmbeddingBatch, profile: TemperatureProfile) -> float:
-    """Loss of a batch under a temperature profile: the kernel's value, streamed.
-
-    Walks row chunks of a.b^T and of the kernel's packed within-view matrix
-    (a.a^T above the diagonal, b.b^T below it), so the profile sees each
-    unordered pair once and no 2Nx2N matrix is formed. Every tile is folded
-    into the running log-sum-exp of its rows and, transposed, of its columns;
-    the positives are the cross tiles' diagonals.
-    """
-    view_a, view_b, n = batch.view_a, batch.view_b, batch.n
-    if n < 2:
-        raise BatchTooSmallError(
-            f"need at least 2 samples (got {n}); a single-sample batch has no negatives"
-        )
-    peak = np.full(2 * n, -np.inf)
-    total = np.zeros(2 * n)
-    positive = np.empty(n)
-    # chunks of at most N rows: every product stays within the NxN shapes of
-    # the training kernel, below the sizes where OpenBLAS starts threads that
-    # unpinned sweep workers oversubscribe
-    for start, stop in row_chunks(n, n):
-        rows = slice(start, stop)
-        cross = _scaled_tile(view_a[rows] @ view_b.T, profile)
-        positive[rows] = np.diagonal(cross[:, rows])
-        _fold_log_sum_exp(peak, total, rows, cross)
-        _fold_log_sum_exp(peak, total, slice(n, 2 * n), cross.T)
-        columns, anchors = np.arange(n)[None, :], np.arange(start, stop)[:, None]
-        upper = columns > anchors
-        packed = _scaled_tile(np.where(upper, view_a[rows] @ view_a.T, view_b[rows] @ view_b.T), profile)
-        # a's pairs lie right of column `start`, b's left of column `stop`
-        for offset, cols, pairs in (
-            (0, slice(start, n), upper),
-            (n, slice(0, stop), columns < anchors),
-        ):
-            within = np.where(pairs[:, cols], packed[:, cols], -np.inf)
-            _fold_log_sum_exp(peak, total, slice(offset + start, offset + stop), within)
-            _fold_log_sum_exp(peak, total, slice(offset + cols.start, offset + cols.stop), within.T)
-    lse = peak + np.log(total)
-    if not np.all(np.isfinite(lse)):
-        raise NumericError("similarity logits contain non-finite entries")
-    return float(np.mean(lse - np.tile(positive, 2)))
+    """Loss of a batch under a temperature profile, streamed over row chunks."""
+    return _infonce(batch.view_a, batch.view_b, profile)
 
 
 def grad_wrt_similarity(block: LogitsBlock, mode: LossMode = LossMode.DETACHED) -> np.ndarray:
@@ -253,13 +211,12 @@ def grad_wrt_embeddings(
     profile: TemperatureProfile,
     mode: LossMode = LossMode.DETACHED,
 ) -> GradientBundle:
-    """Loss, probabilities, dL/ds, and dL/dz of one batch.
+    """Loss and dL/dz of one batch.
 
     The embeddings are treated as free points of the similarity map
     s_ij = z_i . z_j; the normalization Jacobian belongs to the encoder.
-    `probs` and `dL_ds` come in the 2Nx2N Gram layout.
     """
-    return _infonce_kernel(batch.view_a, batch.view_b, profile, mode)
+    return _infonce(batch.view_a, batch.view_b, profile, mode)
 
 
 def relative_penalty(scaled_row: np.ndarray, negative_index: int, positive_index: int) -> float:
@@ -309,11 +266,11 @@ def loss_on_embeddings(
             raise ValidationError(
                 f"frozen temperatures must be {2 * n}x{2 * n - 1}, got {frozen.shape}"
             )
-        # the kernel takes one value per unordered pair: a's upper and b's
-        # lower within-view triangle, as it packs them itself; the masked
-        # diagonal gets 1.0 only to keep 1/tau finite
+        # one value per unordered pair: a's upper and b's lower within-view
+        # triangle, packed as `_infonce` packs them; the unused diagonal gets
+        # 1.0 only to keep 1/tau finite
         upper = ~np.tri(n, dtype=bool)
         within = np.where(upper, _scatter_offdiag(frozen[:n, n:]), _scatter_offdiag(frozen[n:, n:]))
         np.fill_diagonal(within, 1.0)
         temperatures = frozen[:n, :n], within
-    return _infonce_kernel(z[:n], z[n:], profile, temperatures=temperatures)
+    return _infonce(z[:n], z[n:], profile, temperatures=temperatures)

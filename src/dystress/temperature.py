@@ -30,7 +30,8 @@ SINGULARITY_BAND = 1e-6
 SLOPE_SIGN_EXCLUSION = 1e-3
 
 SCALE_RANGE = (1e-6, 2.0)  # pi / scale stays finite
-SHARPNESS_RANGE = (1e-6, 700.0)  # exp(a) - 1 keeps its digits and exp(a) stays finite
+SHARPNESS_RANGE = (1e-6, 700.0)  # exp(-a) stays normal at the top
+TAU_MIN_FLOOR = 1.0 / 350.0  # exp(-2 / tau_min), the loss's smallest shifted exp, stays normal
 
 
 class ProfileForm(NamedTuple):
@@ -85,9 +86,9 @@ class TemperatureProfile:
             value = getattr(self, f.name)
             if f.default is not MISSING and f.name not in carried and value != f.default:
                 raise ValidationError(f"{self.variant} profile takes no {f.name} (got {value!r})")
-        if not (0.0 < self.tau_min <= self.tau_max < math.inf):
+        if not (TAU_MIN_FLOOR <= self.tau_min <= self.tau_max < math.inf):
             raise ValidationError(
-                f"need 0 < tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})"
+                f"need 1/350 <= tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})"
             )
         if self.variant == "cosine_shifted":
             low, high = SCALE_RANGE
@@ -153,8 +154,9 @@ class TemperatureProfile:
         elif self.variant == "linear":
             out = self.tau_min + dt * np.abs(s)
         elif self.variant == "exponential":
-            a = self.sharpness
-            out = self.tau_min + dt * (np.exp(a * np.abs(s)) - 1.0) / (math.exp(a) - 1.0)
+            # (exp(a|s|) - 1) / (exp(a) - 1), scaled by exp(-a) so nothing overflows
+            a, m = self.sharpness, np.abs(s)
+            out = self.tau_min + dt * np.exp(a * (m - 1.0)) * np.expm1(-a * m) / math.expm1(-a)
         else:  # monotonic_cosine
             out = self.tau_min + 0.5 * dt * (1.0 - np.cos(np.pi * (1.0 + s) / 2.0))
         # cos() round-off can leak a few ulp past the band
@@ -179,7 +181,7 @@ class TemperatureProfile:
             out = dt * np.sign(s)
         elif self.variant == "exponential":
             a = self.sharpness
-            out = dt * a * np.sign(s) * np.exp(a * np.abs(s)) / (math.exp(a) - 1.0)
+            out = dt * a * np.sign(s) * np.exp(a * (np.abs(s) - 1.0)) / -math.expm1(-a)
         else:  # monotonic_cosine
             out = 0.5 * dt * (np.pi / 2.0) * np.sin(np.pi * (1.0 + s) / 2.0)
         return float(out) if scalar else out
@@ -201,22 +203,18 @@ class TemperatureProfile:
         return ":".join([form.names[0]] + [f"{getattr(self, name):g}" for name in form.values])
 
     @classmethod
-    def from_values(cls, name: str, values: Sequence[float]) -> "TemperatureProfile":
-        """Profile from a spelling in PROFILE_FORMS and its values in spec-string order."""
-        variant = variant_named(name)
-        form = PROFILE_FORMS[variant]
-        if not form.required <= len(values) <= len(form.values):
-            raise ValidationError(f"{name} takes the values {':'.join(form.values)}, got {len(values)}")
-        return getattr(cls, variant)(*values)
-
-    @classmethod
     def from_spec_string(cls, spec: str) -> "TemperatureProfile":
+        """Profile from a spelling in PROFILE_FORMS and its values in spec-string order."""
         name, *args = spec.split(":")
         try:
             values = [float(x) for x in args]
         except ValueError as err:
             raise ValidationError(f"bad profile spec {spec!r}: {err}") from err
-        return cls.from_values(name, values)
+        variant = variant_named(name)
+        form = PROFILE_FORMS[variant]
+        if not form.required <= len(values) <= len(form.values):
+            raise ValidationError(f"{name} takes the values {':'.join(form.values)}, got {len(values)}")
+        return getattr(cls, variant)(*values)
 
 
 def profile_curve(profile: TemperatureProfile, samples: int) -> np.ndarray:
@@ -341,7 +339,8 @@ class SlopeCell:
     bigK: float
     c: float
     frac_correct_sign: float
-    valid_points: int
+    valid_points: int  # checked points
+    negative_points: int  # checked points with s < 0; the rest have s > 0
     insufficient_samples: bool
 
     @property
@@ -366,16 +365,15 @@ def slope_sign_cell(params: OdeParams, grid: np.ndarray) -> SlopeCell:
     """
     curve = ode_curve(params, grid)
     s, tau, valid = curve.s, curve.tau, curve.valid
-    if s.size < 3:
-        return SlopeCell(params.delta, params.bigK, params.c, float("nan"), 0, True)
     checked = valid[1:-1] & valid[:-2] & valid[2:] & (np.abs(s[1:-1]) >= SLOPE_SIGN_EXCLUSION)
     count = int(checked.sum())
-    if count == 0:
-        return SlopeCell(params.delta, params.bigK, params.c, float("nan"), 0, True)
+    if count == 0:  # also every grid of fewer than 3 points
+        return SlopeCell(params.delta, params.bigK, params.c, float("nan"), 0, 0, True)
     slope = (tau[2:] - tau[:-2]) / (s[2:] - s[:-2])
     correct = np.sign(slope[checked]) == np.sign(s[1:-1][checked])
     frac = float(np.count_nonzero(correct)) / count
-    return SlopeCell(params.delta, params.bigK, params.c, frac, count, False)
+    negative = int(np.count_nonzero(s[1:-1][checked] < 0))
+    return SlopeCell(params.delta, params.bigK, params.c, frac, count, negative, False)
 
 
 def sample_constants(c_high: float, c_low: float, c_count: int) -> np.ndarray:
@@ -428,8 +426,10 @@ def summarize_ode_report(report: Proposition1Report) -> str:
     n = len(report.cells)
     insufficient = sum(c.insufficient_samples for c in report.cells)
     failed = sum(1 for c in report.cells if not c.passed)
+    negative = sum(c.negative_points > 0 for c in report.cells)
+    positive = sum(c.valid_points > c.negative_points for c in report.cells)
     status = "PASS" if report.all_pass else "FAIL"
     return (
         f"summary: {status} ({n - failed}/{n} cells with slope-sign fraction 1.0, "
-        f"{insufficient} insufficient)"
+        f"{insufficient} insufficient; {negative} cells checked s < 0, {positive} checked s > 0)"
     )

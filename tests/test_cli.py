@@ -60,6 +60,7 @@ MALFORMED_CONFIG_VALUES = [
     ("encoder.layer_widths", 5),
     ("synthetic", [1]),
     ("profile.sharpness", 800),
+    ("profile.tau_min", 0.002),
 ]
 MALFORMED_SWEEP_VALUES = [("overrides", {"seeds": ["a"]}), ("max_configs", "x")]
 
@@ -150,6 +151,17 @@ class TestTempProfile:
             ]
         )
         assert code == EXIT_VALIDATION
+
+
+    @pytest.mark.parametrize(
+        "variant, option", [("cosine", "--shift"), ("linear", "--sharpness"), ("exp", "--scale")]
+    )
+    def test_option_its_variant_ignores_exit_1(self, tmp_path, capsys, variant, option):
+        out = tmp_path / "x.csv"
+        argv = ["temp-profile", "--variant", variant, "--tmin", "0.1", "--tmax", "0.2", option, "0.5"]
+        assert main(argv + ["--samples", "5", "--out", str(out)]) == EXIT_VALIDATION
+        assert f"takes no {option[2:]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestOdeVerify:

@@ -1,4 +1,5 @@
-"""Property tests: config and profile round trips, and the profile range.
+"""Property tests: config and profile round trips, the profile range, and the
+exponential profile against 50-digit arithmetic.
 
 Examples are derandomized, so every run draws the same cases and the suite
 stays deterministic.
@@ -6,14 +7,22 @@ stays deterministic.
 
 import json
 
+import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from dystress.encoder import NONLINEARITIES, EncoderSpec, OptimizerSettings
 from dystress.harness import ExperimentConfig, config_from_dict
 from dystress.loss import LossMode
 from dystress.synthetic import SyntheticSpec
-from dystress.temperature import PROFILE_FORMS, SCALE_RANGE, SHARPNESS_RANGE, TemperatureProfile
+from dystress.temperature import (
+    PROFILE_FORMS,
+    SCALE_RANGE,
+    SHARPNESS_RANGE,
+    TAU_MIN_FLOOR,
+    TemperatureProfile,
+)
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
@@ -30,7 +39,11 @@ def six_digits(x: float) -> float:
 def profiles(draw, rounded=lambda x: x):
     """Any valid profile of any variant; `rounded` is applied to every value."""
     variant = draw(st.sampled_from(list(PROFILE_FORMS)))
-    tau_min, tau_max = sorted(rounded(draw(POSITIVE)) for _ in range(2))
+    # rounding may take a value just above the floor below it
+    temperature = (
+        st.floats(TAU_MIN_FLOOR, allow_infinity=False).map(rounded).filter(lambda x: x >= TAU_MIN_FLOOR)
+    )
+    tau_min, tau_max = sorted(draw(temperature) for _ in range(2))
     if variant == "constant":
         return TemperatureProfile.constant(tau_min)
     extras = {}
@@ -96,3 +109,29 @@ def test_tau_stays_in_range(profile, s):
     assert profile.tau_min <= tau <= profile.tau_max
     taus = profile.tau(np.array([-1.0, s, 1.0]))
     assert np.all((profile.tau_min <= taus) & (taus <= profile.tau_max))
+
+
+def exponential_reference(profile, s):
+    """tau(s) and dtau/ds of an exponential profile, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        a, m = mpmath.mpf(profile.sharpness), abs(mpmath.mpf(s))
+        dt = mpmath.mpf(profile.tau_max) - mpmath.mpf(profile.tau_min)
+        denominator = mpmath.expm1(a)
+        tau = mpmath.mpf(profile.tau_min) + dt * mpmath.expm1(a * m) / denominator
+        slope = dt * a * mpmath.sign(s) * mpmath.exp(a * m) / denominator
+        return float(tau), float(slope)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@PROPERTY
+@given(
+    st.floats(TAU_MIN_FLOOR, 10.0),
+    st.floats(0.0, 1e6),
+    st.floats(*SHARPNESS_RANGE),
+    st.floats(-1.0, 1.0),
+)
+def test_exponential_matches_high_precision(tau_min, spread, sharpness, s):
+    profile = TemperatureProfile.exponential(tau_min, tau_min + spread, sharpness)
+    tau, slope = exponential_reference(profile, s)
+    assert abs(profile.tau(s) - tau) <= 1e-12 * tau
+    assert abs(profile.dtau_ds(s) - slope) <= 1e-12 * abs(slope) + 1e-300

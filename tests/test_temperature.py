@@ -8,6 +8,7 @@ import pytest
 from dystress.errors import DomainError, NumericError, ValidationError
 from dystress.numeric import Rng
 from dystress.temperature import (
+    TAU_MIN_FLOOR,
     OdeParams,
     TemperatureProfile,
     boundary_constants,
@@ -16,6 +17,7 @@ from dystress.temperature import (
     profile_curve,
     sample_constants,
     slope_sign_cell,
+    summarize_ode_report,
     verify_proposition1,
 )
 
@@ -131,6 +133,26 @@ class TestTau:
             TemperatureProfile.cosine_shifted(0.1, 0.2, shift=1.5, scale=0.5)
         with pytest.raises(ValidationError):
             TemperatureProfile.exponential(0.1, 0.2, sharpness=0.0)
+
+    def test_tau_min_floor(self):
+        # the loss shifts every logit by 1/tau_min; below 1/350 its smallest
+        # exp, exp(-2/tau_min), would leave the normal doubles
+        assert TAU_MIN_FLOOR == 1.0 / 350.0
+        TemperatureProfile.constant(TAU_MIN_FLOOR)
+        TemperatureProfile.cosine_vanilla(TAU_MIN_FLOOR, 0.2)
+        for variant in ("constant", "cosine_vanilla", "exponential"):
+            with pytest.raises(ValidationError, match="1/350"):
+                TemperatureProfile(variant, 1.0 / 351.0, 1.0 / 351.0)
+
+    def test_exponential_does_not_overflow_at_large_sharpness(self):
+        # exp(a|s|) overflows for a = 700 near |s| = 1; the profile must still
+        # follow its formula there instead of clipping inf to tau_max
+        p = TemperatureProfile.exponential(0.1, 1e6, 700.0)
+        with np.errstate(over="raise"):
+            assert abs(p.tau(0.999) - 496585.3541328788) < 1e-6
+            assert abs(p.tau(-0.999) - 496585.3541328788) < 1e-6
+            assert p.tau(1.0) == 1e6
+            assert np.isfinite(p.dtau_ds(0.999))
 
     def test_spec_string_round_trip(self):
         for profile in ALL_PROFILES:
@@ -369,6 +391,19 @@ class TestProposition1:
         report = verify_proposition1([1.0], [10.0], 0.2, c_count=4, s_count=501)
         assert len(report.cells) == 4
         assert report.all_pass
+
+    @pytest.mark.parametrize("tau_max, checked_negative", [(0.2, 0), (0.5, 9)])
+    def test_negative_half_coverage(self, tau_max, checked_negative):
+        # c02's grid: at tau_max 0.2 no cell has a checked s < 0 point; at 0.5
+        # nine do, and each of those fails the sign check there
+        report = verify_proposition1([0.5, 1, 2], [5, 10, 50], tau_max, c_count=8, s_count=2001)
+        negative = [cell for cell in report.cells if cell.negative_points > 0]
+        assert len(negative) == checked_negative
+        assert all(cell.valid_points > cell.negative_points for cell in report.cells)
+        assert not any(cell.passed for cell in negative)
+        assert all(cell.passed for cell in report.cells if cell.negative_points == 0)
+        summary = summarize_ode_report(report)
+        assert f"{checked_negative} cells checked s < 0, 72 checked s > 0" in summary
 
     def test_empty_grids_rejected(self):
         with pytest.raises(ValidationError):
