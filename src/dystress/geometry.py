@@ -98,10 +98,6 @@ class EmbeddingBatch:
     def n(self) -> int:
         return self.view_a.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.view_a.shape[1]
-
     def stacked(self) -> np.ndarray:
         """All 2N embeddings, view-a rows first (flat index i, then N+i)."""
         return np.vstack([self.view_a, self.view_b])

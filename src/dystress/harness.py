@@ -6,15 +6,21 @@ A run is fully determined by its config (and in particular its seed): data
 generation, weight init, batch order, and augmentations all derive from
 named substreams of the one seed, and every reduction is executed in a
 fixed order, so repeating a run reproduces its metrics CSV byte for byte.
+
+A run pins NumPy's OpenBLAS to one thread. When the process has a CPU to
+spare, each periodic eval runs on a worker thread from a frozen copy of the
+parameters while the next epochs train; the artifacts do not depend on it.
+Sweeps run whole runs in worker processes.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -28,7 +34,7 @@ from . import metrics as metrics_mod
 from . import synthetic
 from .errors import NumericError, ValidationError, check_fields, check_int, from_section
 from .geometry import EmbeddingBatch, write_embedding_dump
-from .numeric import Rng, fmt
+from .numeric import Rng, fmt, single_blas_thread
 from .temperature import TemperatureProfile
 
 CONFIG_VERSION = 1
@@ -186,13 +192,76 @@ def _eval_state(
     return report, histogram, batch
 
 
-def run_experiment(config: ExperimentConfig, data_path: Optional[str | Path] = None) -> RunResult:
+def _spare_cpu(concurrent_runs: int) -> bool:
+    """Whether this process may use more CPUs than the runs sharing them."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return cpus > concurrent_runs
+
+
+def run_experiment(
+    config: ExperimentConfig, data_path: Optional[str | Path] = None, concurrent_runs: int = 1
+) -> RunResult:
     """Train, evaluate periodically, and write all artifacts.
 
     Artifacts in out_dir (when set): config.json, metrics.csv,
     histogram_epoch0.csv, histogram_final.csv, embeddings.jsonl,
     checkpoint.json. Returns the full evaluation time series.
+
+    When OpenBLAS could be pinned to one thread and the process has more
+    CPUs than `concurrent_runs`, the number of runs sharing them, each eval
+    runs on a worker thread with a frozen copy of the parameters while the
+    next epochs train, at most one eval at a time. Otherwise each eval runs
+    in the calling thread before training resumes. Either way the results
+    are the same, and an eval's error is raised before any error of the
+    epochs that trained after it.
     """
+    with single_blas_thread() as pinned, ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="dystress-eval"
+    ) as pool:
+        return _run(config, data_path, pool, overlap=pinned and _spare_cpu(concurrent_runs))
+
+
+def _train_epoch(
+    config: ExperimentConfig,
+    params: enc.EncoderParams,
+    state: enc.OptimizerState,
+    train_set: synthetic.Dataset,
+    root_rng: Rng,
+    epoch: int,
+) -> None:
+    """One pass over the training set, updating params and state in place."""
+    rng_batches = root_rng.substream("batches", index=epoch)
+    rng_augment = root_rng.substream("augment", index=epoch)
+    for step, idx in enumerate(synthetic.make_batches(train_set, config.batch_size, rng_batches)):
+        try:
+            x = train_set.inputs[idx]
+            v1, v2 = synthetic.augment_views(x, config.synthetic.augment_sigma, rng_augment)
+            stacked = np.vstack([v1, v2])
+            z, cache = enc.encode(params, stacked)
+            batch = EmbeddingBatch(
+                view_a=z[: len(idx)],
+                view_b=z[len(idx) :],
+                sample_ids=[train_set.sample_ids[i] for i in idx],
+                labels=train_set.labels[idx],
+            )
+            bundle = loss_mod.grad_wrt_embeddings(batch, config.profile, config.loss_mode)
+            if not np.isfinite(bundle.loss):
+                raise NumericError(f"loss became non-finite ({bundle.loss})")
+            grads = enc.backward(params, cache, bundle.dL_dz)
+            enc.sgd_step(params, grads, state)
+        except NumericError as err:
+            raise NumericError(f"epoch {epoch}, step {step}: {err}") from err
+
+
+def _run(
+    config: ExperimentConfig,
+    data_path: Optional[str | Path],
+    pool: ThreadPoolExecutor,
+    overlap: bool,
+) -> RunResult:
     root_rng = Rng(config.seed)
     if data_path is not None:
         dataset = synthetic.read_dataset(data_path)
@@ -212,43 +281,49 @@ def run_experiment(config: ExperimentConfig, data_path: Optional[str | Path] = N
     state = enc.init_optimizer(params, config.optimizer)
 
     reports: list[metrics_mod.MetricsReport] = []
-    report, hist_initial, initial_batch = _eval_state(
-        config, params, train_set, test_set, root_rng, epoch=0, with_histogram=True
-    )
-    reports.append(report)
-    hist_final, final_batch = hist_initial, initial_batch  # stands when epochs == 0
+    kept: list[tuple[metrics_mod.Histogram, EmbeddingBatch]] = []  # of the initial and final evals
+    pending: Optional[Future] = None
 
+    def keep(
+        report: metrics_mod.MetricsReport, histogram: Optional[metrics_mod.Histogram], batch: EmbeddingBatch
+    ) -> None:
+        reports.append(report)
+        if histogram is not None:
+            kept.append((histogram, batch))
+
+    def settle() -> None:
+        """Wait for the eval in flight, if any, and keep what it returned."""
+        nonlocal pending
+        if pending is not None:
+            future, pending = pending, None
+            keep(*future.result())
+
+    def run_eval(epoch: int, with_histogram: bool) -> None:
+        nonlocal pending
+        settle()
+        if overlap:  # on a frozen copy: training updates params in place meanwhile
+            pending = pool.submit(
+                _eval_state,
+                config, copy.deepcopy(params), train_set, test_set, root_rng, epoch, with_histogram,
+            )
+        else:
+            keep(*_eval_state(config, params, train_set, test_set, root_rng, epoch, with_histogram))
+
+    run_eval(0, with_histogram=True)
     for epoch in range(config.epochs):
-        rng_batches = root_rng.substream("batches", index=epoch)
-        rng_augment = root_rng.substream("augment", index=epoch)
-        for step, idx in enumerate(synthetic.make_batches(train_set, config.batch_size, rng_batches)):
-            try:
-                x = train_set.inputs[idx]
-                v1, v2 = synthetic.augment_views(x, config.synthetic.augment_sigma, rng_augment)
-                stacked = np.vstack([v1, v2])
-                z, cache = enc.encode(params, stacked)
-                batch = EmbeddingBatch(
-                    view_a=z[: len(idx)],
-                    view_b=z[len(idx) :],
-                    sample_ids=[train_set.sample_ids[i] for i in idx],
-                    labels=train_set.labels[idx],
-                )
-                bundle = loss_mod.grad_wrt_embeddings(batch, config.profile, config.loss_mode)
-                if not np.isfinite(bundle.loss):
-                    raise NumericError(f"loss became non-finite ({bundle.loss})")
-                grads = enc.backward(params, cache, bundle.dL_dz)
-                enc.sgd_step(params, grads, state)
-            except NumericError as err:
-                raise NumericError(f"epoch {epoch}, step {step}: {err}") from err
+        if pending is not None and pending.done():
+            settle()  # an eval that failed stops the run before another epoch trains
+        try:
+            _train_epoch(config, params, state, train_set, root_rng, epoch)
+        except Exception:
+            settle()  # the eval in flight comes before this epoch, and so does its error
+            raise
         completed = epoch + 1
         is_final = completed == config.epochs
         if completed % config.eval_every == 0 or is_final:
-            report, hist, batch = _eval_state(
-                config, params, train_set, test_set, root_rng, epoch=completed, with_histogram=is_final
-            )
-            reports.append(report)
-            if is_final:
-                hist_final, final_batch = hist, batch
+            run_eval(completed, with_histogram=is_final)
+    settle()
+    (hist_initial, _), (hist_final, final_batch) = kept[0], kept[-1]  # one entry when epochs == 0
 
     out_dir = config.out_dir
     if out_dir is not None:
@@ -350,11 +425,11 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def _run_sweep_entry(args: tuple[int, ExperimentConfig]) -> tuple[int, str, list, float]:
-    index, config = args
+def _run_sweep_entry(args: tuple[int, ExperimentConfig, int]) -> tuple[int, str, list, float]:
+    index, config, concurrent_runs = args
     start = time.monotonic()
     try:
-        result = run_experiment(config)
+        result = run_experiment(config, concurrent_runs=concurrent_runs)
         return index, "ok", result.reports, time.monotonic() - start
     except Exception as err:  # failures are data: recorded, sweep continues
         return index, f"error: {type(err).__name__}: {err}", [], time.monotonic() - start
@@ -391,10 +466,12 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: Optional[int] = 
     """
     sweep_dir = Path(sweep_dir)
     configs = sweep.expand(sweep_dir)
-    entries = list(enumerate(configs))
     # the fork start method launches every pool process up front, so a pool
     # never gets more processes than it has configs to run
-    worker_count = min(resolve_worker_count(workers), len(entries))
+    worker_count = min(resolve_worker_count(workers), len(configs))
+    # each run is told how many runs share the CPUs, so that it overlaps
+    # its evals with training only when a CPU is spare
+    entries = [(index, config, worker_count) for index, config in enumerate(configs)]
     if worker_count > 1:
         outcomes = []
         with ProcessPoolExecutor(max_workers=worker_count) as pool:

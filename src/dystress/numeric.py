@@ -8,12 +8,19 @@ memory, so repeated runs produce bit-identical results on the same machine.
 Evaluation over a whole dataset walks pair matrices in row chunks of at most
 `CHUNK_ENTRIES` entries (`row_chunks`), always in the same order, so its peak
 memory depends on the chunk size and not on the square of the dataset size.
+
+`single_blas_thread` pins NumPy's bundled OpenBLAS to one thread, so that two
+threads of one process can each run NumPy on their own core.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import hashlib
-from typing import Callable
+from pathlib import Path
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -77,6 +84,43 @@ def row_chunks(n_rows: int, width: int):
     step = max(1, min(n_rows, CHUNK_ENTRIES // max(width, 1)))
     for start in range(0, n_rows, step):
         yield start, min(start + step, n_rows)
+
+
+@functools.cache
+def _openblas_thread_calls() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """(get, set) of the thread count of the OpenBLAS that NumPy's wheel bundles, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get_threads = lib.scipy_openblas_get_num_threads64_
+            set_threads = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
+    return None
+
+
+@contextlib.contextmanager
+def single_blas_thread() -> Iterator[bool]:
+    """Run the block with OpenBLAS on one thread; yields whether the symbol was found.
+
+    The thread count is process-wide; the previous count is restored on exit.
+    Without NumPy's bundled OpenBLAS the block runs unchanged and gets False.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield False
+        return
+    get_threads, set_threads = calls
+    previous = get_threads()
+    set_threads(1)
+    try:
+        yield True
+    finally:
+        set_threads(previous)
 
 
 def stable_row_softmax(logits: np.ndarray) -> np.ndarray:

@@ -86,6 +86,10 @@ class TemperatureProfile:
             value = getattr(self, f.name)
             if f.default is not MISSING and f.name not in carried and value != f.default:
                 raise ValidationError(f"{self.variant} profile takes no {f.name} (got {value!r})")
+        if self.variant == "constant" and self.tau_max != self.tau_min:  # its spec string drops tau_max
+            raise ValidationError(
+                f"constant profile takes no tau_max other than tau_min {self.tau_min!r} (got {self.tau_max!r})"
+            )
         if not (TAU_MIN_FLOOR <= self.tau_min <= self.tau_max < math.inf):
             raise ValidationError(
                 f"need 1/350 <= tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})"

@@ -61,6 +61,7 @@ MALFORMED_CONFIG_VALUES = [
     ("synthetic", [1]),
     ("profile.sharpness", 800),
     ("profile.tau_min", 0.002),
+    ("profile", {"variant": "constant", "tau_min": 0.1, "tau_max": 0.2}),
 ]
 MALFORMED_SWEEP_VALUES = [("overrides", {"seeds": ["a"]}), ("max_configs", "x")]
 

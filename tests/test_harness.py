@@ -9,8 +9,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from dystress import harness
-from dystress.errors import ValidationError
+from dystress import harness, numeric
+from dystress.errors import NumericError, ValidationError
 from dystress.harness import (
     ExperimentConfig,
     SweepSpec,
@@ -242,6 +242,130 @@ class TestRunExperiment:
         write_dataset(data_path, generate(other, 3))
         with pytest.raises(ValidationError, match="ambient_dim"):
             run_experiment(tiny_config(), data_path=data_path)
+
+
+JOIN_TIMEOUT_S = 120
+STEP_WAIT_S = 30
+ARTIFACTS = ("metrics.csv", "histogram_epoch0.csv", "histogram_final.csv", "embeddings.jsonl", "checkpoint.json")
+CPUS = len(os.sched_getaffinity(0))
+STEPS_PER_EPOCH = 3  # TINY: 30 samples in batches of 10
+# one run alone may overlap; as many runs as CPUs leave no CPU spare, so evals run inline
+RUN_MODES = [pytest.param(1, id="overlapped"), pytest.param(CPUS, id="inline")]
+
+
+def eval_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("dystress-eval")]
+
+
+def run_joined(config, **kwargs):
+    """run_experiment in a thread joined with a timeout, so a hung eval fails the test and not the suite."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = run_experiment(config, **kwargs)
+        except Exception as err:
+            outcome["error"] = err
+
+    runner = threading.Thread(target=target, daemon=True)
+    runner.start()
+    runner.join(timeout=JOIN_TIMEOUT_S)
+    assert not runner.is_alive(), "run_experiment did not return"
+    assert eval_threads() == [], "an eval thread outlived run_experiment"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["result"]
+
+
+class TestEvalOverlap:
+    """Evals on the worker thread: same artifacts, the parent's error order, no thread left behind."""
+
+    def test_overlapped_and_inline_runs_write_identical_artifacts(self, tmp_path, monkeypatch):
+        real_eval, real_step = harness._eval_state, harness.enc.sgd_step
+        can_overlap = numeric._openblas_thread_calls() is not None and CPUS > 1
+        stepped = threading.Event()
+        saw_step = []  # per run: did training take a step while the initial eval ran?
+
+        def recording_step(*args):
+            stepped.set()
+            return real_step(*args)
+
+        def waiting_eval(config, params, train_set, test_set, root_rng, epoch, with_histogram):
+            if epoch == 0:  # only an overlapped run can train while this waits
+                saw_step.append(stepped.wait(timeout=wait_s))
+            return real_eval(config, params, train_set, test_set, root_rng, epoch, with_histogram)
+
+        monkeypatch.setattr(harness.enc, "sgd_step", recording_step)
+        monkeypatch.setattr(harness, "_eval_state", waiting_eval)
+        results = {}
+        for name, concurrent_runs, wait_s in (
+            ("overlapped", 1, STEP_WAIT_S if can_overlap else 0),
+            ("inline", CPUS, 0),
+        ):
+            stepped.clear()
+            config = dataclasses.replace(tiny_config(), out_dir=tmp_path / name)
+            results[name] = run_joined(config, concurrent_runs=concurrent_runs)
+        assert saw_step == [can_overlap, False]
+        for artifact in ARTIFACTS:
+            assert (tmp_path / "overlapped" / artifact).read_bytes() == (
+                tmp_path / "inline" / artifact
+            ).read_bytes(), artifact
+        assert [r.epoch for r in results["overlapped"].reports] == [0, 2, 4]
+
+    @pytest.mark.parametrize("concurrent_runs", RUN_MODES)
+    def test_eval_error_wins_over_a_later_training_error(self, monkeypatch, concurrent_runs):
+        real_probe, real_step = harness.metrics_mod.knn_probe, harness.enc.sgd_step
+        evals, steps = [], []
+
+        def failing_probe(*args, **kwargs):  # called once per eval
+            evals.append(None)
+            if len(evals) == 2:  # the eval at epoch 2
+                raise NumericError("eval at epoch 2 failed")
+            return real_probe(*args, **kwargs)
+
+        def failing_step(*args):
+            steps.append(None)
+            if len(steps) > 2 * STEPS_PER_EPOCH:  # the first step after the eval at epoch 2
+                raise ValidationError("epoch 3 failed")
+            return real_step(*args)
+
+        monkeypatch.setattr(harness.metrics_mod, "knn_probe", failing_probe)
+        monkeypatch.setattr(harness.enc, "sgd_step", failing_step)
+        with pytest.raises(NumericError, match="eval at epoch 2 failed"):
+            run_joined(tiny_config(), concurrent_runs=concurrent_runs)
+
+    @pytest.mark.parametrize("concurrent_runs", RUN_MODES)
+    def test_failed_eval_stops_training_before_the_next_eval(self, monkeypatch, concurrent_runs):
+        real_step = harness.enc.sgd_step
+        steps = []
+
+        def failing_eval(*args):
+            raise NumericError("initial eval failed")
+
+        def counting_step(*args):
+            steps.append(None)
+            return real_step(*args)
+
+        monkeypatch.setattr(harness, "_eval_state", failing_eval)
+        monkeypatch.setattr(harness.enc, "sgd_step", counting_step)
+        with pytest.raises(NumericError, match="initial eval failed"):
+            run_joined(tiny_config(epochs=100, eval_every=100), concurrent_runs=concurrent_runs)
+        assert len(steps) < 100 * STEPS_PER_EPOCH
+
+    @pytest.mark.parametrize("concurrent_runs", RUN_MODES)
+    def test_training_error_raised_when_evals_pass(self, monkeypatch, concurrent_runs):
+        def failing_step(*args):
+            raise ValidationError("training failed")
+
+        monkeypatch.setattr(harness.enc, "sgd_step", failing_step)
+        with pytest.raises(ValidationError, match="training failed"):
+            run_joined(tiny_config(), concurrent_runs=concurrent_runs)
+
+    def test_blas_thread_count_restored(self):
+        calls = numeric._openblas_thread_calls()
+        before = calls[0]() if calls else None
+        run_joined(tiny_config(epochs=1))
+        assert (calls[0]() if calls else None) == before
 
 
 class TestMetricsFromDump:

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dystress import numeric
 from dystress.errors import NumericError, ValidationError
 from dystress.numeric import (
     Rng,
     finite_difference_grad,
     max_relative_error,
+    single_blas_thread,
     stable_row_softmax,
 )
 
@@ -100,3 +102,22 @@ class TestFiniteDifferenceGrad:
     def test_bad_eps(self):
         with pytest.raises(ValidationError):
             finite_difference_grad(lambda x: 0.0, np.zeros(2), eps=0.0)
+
+
+class TestSingleBlasThread:
+    def test_pins_one_thread_and_restores_the_count(self):
+        calls = numeric._openblas_thread_calls()
+        assert calls is not None, "NumPy's bundled OpenBLAS exports no thread-count calls"
+        get_threads, set_threads = calls
+        before = get_threads()
+        set_threads(2)  # a count the pin visibly changes
+        try:
+            with single_blas_thread() as pinned:
+                assert pinned and get_threads() == 1
+            assert get_threads() == 2
+            with pytest.raises(RuntimeError):
+                with single_blas_thread():
+                    raise RuntimeError("block failed")
+            assert get_threads() == 2
+        finally:
+            set_threads(before)

@@ -224,15 +224,17 @@ class TestTau:
             ("linear", "sharpness", 2.0),
             ("exponential", "shift", -0.2),
             ("monotonic_cosine", "sharpness", float("nan")),
+            ("constant", "tau_max", 0.2),
         ],
     )
     def test_field_the_variant_ignores_rejected(self, variant, field, value):
-        tau_max = 0.1 if variant == "constant" else 0.2
+        accepted = {"tau_min": 0.1, "tau_max": 0.1 if variant == "constant" else 0.2}
         with pytest.raises(ValidationError, match=f"takes no {field}"):
-            TemperatureProfile(variant, 0.1, tau_max, **{field: value})
-        # the default value is the field's absence, so it is accepted
+            TemperatureProfile(variant, **{**accepted, field: value})
+        # the default value is the field's absence, so it is accepted; a
+        # constant profile's tau_max has no default and must be its tau_min
         default = TemperatureProfile.__dataclass_fields__[field].default
-        TemperatureProfile(variant, 0.1, tau_max, **{field: default})
+        TemperatureProfile(variant, **{field: default, **accepted})
 
 
 class TestProfileCurve:
