@@ -57,7 +57,6 @@ from .loss import (
     grad_wrt_embeddings,
     grad_wrt_similarity,
     loss_on_embeddings,
-    relative_penalty,
 )
 from .metrics import (
     Histogram,

@@ -44,7 +44,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="run a config sweep and write a combined CSV")
     p.add_argument("--config", required=True, help="path to the sweep config")
     p.add_argument("--out-dir", default=None, help="sweep output directory")
-    p.add_argument("--workers", type=int, default=None, help=f"parallel runs (or ${harness.WORKERS_ENV_VAR})")
+    p.add_argument("--workers", type=int, default=1, help="runs at once, one process each (default 1)")
 
     p = sub.add_parser("metrics", help="recompute metrics from an embedding dump")
     p.add_argument("--embeddings", required=True)

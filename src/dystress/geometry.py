@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BatchTooSmallError, DegenerateInputError, ValidationError
+from .errors import BatchTooSmallError, DegenerateInputError, NumericError, ValidationError
 from .temperature import TemperatureProfile
 
 UNIT_NORM_TOL = 1e-9
@@ -27,18 +27,25 @@ UNIT_NORM_TOL = 1e-9
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Normalize a vector (or each row of a matrix) to unit L2 norm.
 
-    Raises DegenerateInputError when a norm falls below 1e-12.
+    Raises DegenerateInputError when a norm falls below 1e-12, and
+    NumericError when a norm is not finite (a row that overflows or holds NaN).
     """
     v = np.asarray(v, dtype=np.float64)
     if v.ndim == 1:
         n = float(np.linalg.norm(v))
         if n <= 1e-12:
             raise DegenerateInputError(f"cannot normalize vector with norm {n:.3e}")
+        if not np.isfinite(n):
+            raise NumericError(f"cannot normalize vector with norm {n}")
         return v / n
     n = np.linalg.norm(v, axis=1)
     if np.any(n <= 1e-12):
         bad = int(np.argmin(n))
         raise DegenerateInputError(f"cannot normalize row {bad} with norm {n[bad]:.3e}")
+    finite = np.isfinite(n)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise NumericError(f"cannot normalize row {bad} with norm {n[bad]}")
     return v / n[:, None]
 
 

@@ -7,19 +7,18 @@ generation, weight init, batch order, and augmentations all derive from
 named substreams of the one seed, and every reduction is executed in a
 fixed order, so repeating a run reproduces its metrics CSV byte for byte.
 
-A run pins NumPy's OpenBLAS to one thread. When the process has a CPU to
-spare, each periodic eval runs on a worker thread from a frozen copy of the
-parameters while the next epochs train; the artifacts do not depend on it.
-Sweeps run whole runs in worker processes.
+A run pins NumPy's OpenBLAS to one thread. Each command has one kind of
+parallelism. A lone run (`simulate`) with a CPU to spare runs each periodic
+eval on a worker thread from a frozen copy of the parameters while the next
+epochs train. A sweep runs whole runs in `workers` processes, and each of
+its runs evaluates inline. The artifacts do not depend on either.
 """
 
 from __future__ import annotations
 
 import copy
 import json
-import math
 import os
-import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -38,7 +37,6 @@ from .numeric import Rng, fmt, single_blas_thread
 from .temperature import TemperatureProfile
 
 CONFIG_VERSION = 1
-WORKERS_ENV_VAR = "DYSTRESS_WORKERS"
 DEFAULT_SWEEP_CAP = 256
 
 
@@ -69,10 +67,7 @@ class ExperimentConfig:
         check_int("epochs", self.epochs, 0)
         check_int("eval_every", self.eval_every, 1)
         check_int("knn_k", self.knn_k, 1)
-        if not (0.0 < self.knn_weight_temperature < math.inf):
-            raise ValidationError(
-                f"knn_weight_temperature must be positive and finite, got {self.knn_weight_temperature!r}"
-            )
+        metrics_mod.check_knn_weight_temperature(self.knn_weight_temperature)
         try:
             object.__setattr__(self, "loss_mode", loss_mod.LossMode(self.loss_mode))
         except ValueError as err:
@@ -105,6 +100,13 @@ class ExperimentConfig:
         }
 
 
+def _check_config_version(raw: dict) -> None:
+    """ValidationError unless raw["config_version"] is the integer CONFIG_VERSION (not true, not 1.0)."""
+    version = raw.get("config_version")
+    if type(version) is not int or version != CONFIG_VERSION:
+        raise ValidationError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
+
+
 def config_from_dict(raw: dict, out_dir: Optional[Path] = None) -> ExperimentConfig:
     """Parse a versioned config dict; missing fields take the dataclass defaults.
 
@@ -113,9 +115,7 @@ def config_from_dict(raw: dict, out_dir: Optional[Path] = None) -> ExperimentCon
     """
     if not isinstance(raw, dict):
         raise ValidationError("config must be a JSON object")
-    version = raw.get("config_version")
-    if version != CONFIG_VERSION:
-        raise ValidationError(f"config_version must be {CONFIG_VERSION}, got {version!r}")
+    _check_config_version(raw)
     top = {key: value for key, value in raw.items() if key != "config_version"}
     for f in fields(ExperimentConfig):
         if is_dataclass(f.default) and f.name in top:
@@ -192,17 +192,17 @@ def _eval_state(
     return report, histogram, batch
 
 
-def _spare_cpu(concurrent_runs: int) -> bool:
-    """Whether this process may use more CPUs than the runs sharing them."""
+def _spare_cpu() -> bool:
+    """Whether this process may use more than one CPU."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return cpus > concurrent_runs
+    return cpus > 1
 
 
 def run_experiment(
-    config: ExperimentConfig, data_path: Optional[str | Path] = None, concurrent_runs: int = 1
+    config: ExperimentConfig, data_path: Optional[str | Path] = None, overlap_evals: bool = True
 ) -> RunResult:
     """Train, evaluate periodically, and write all artifacts.
 
@@ -210,18 +210,19 @@ def run_experiment(
     histogram_epoch0.csv, histogram_final.csv, embeddings.jsonl,
     checkpoint.json. Returns the full evaluation time series.
 
-    When OpenBLAS could be pinned to one thread and the process has more
-    CPUs than `concurrent_runs`, the number of runs sharing them, each eval
+    With `overlap_evals` (the default, as `simulate` runs), when OpenBLAS
+    could be pinned to one thread and the process has a second CPU, each eval
     runs on a worker thread with a frozen copy of the parameters while the
-    next epochs train, at most one eval at a time. Otherwise each eval runs
-    in the calling thread before training resumes. Either way the results
-    are the same, and an eval's error is raised before any error of the
-    epochs that trained after it.
+    next epochs train, at most one eval at a time. Otherwise, and always in a
+    sweep, which passes False, each eval runs in the calling thread before
+    training resumes. Either way the results are the same, and an eval's
+    error is raised before any error of the epochs that trained after it.
     """
-    with single_blas_thread() as pinned, ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix="dystress-eval"
-    ) as pool:
-        return _run(config, data_path, pool, overlap=pinned and _spare_cpu(concurrent_runs))
+    with single_blas_thread() as pinned:
+        if not (overlap_evals and pinned and _spare_cpu()):
+            return _run(config, data_path, pool=None)
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dystress-eval") as pool:
+            return _run(config, data_path, pool)
 
 
 def _train_epoch(
@@ -259,8 +260,7 @@ def _train_epoch(
 def _run(
     config: ExperimentConfig,
     data_path: Optional[str | Path],
-    pool: ThreadPoolExecutor,
-    overlap: bool,
+    pool: Optional[ThreadPoolExecutor],
 ) -> RunResult:
     root_rng = Rng(config.seed)
     if data_path is not None:
@@ -301,7 +301,7 @@ def _run(
     def run_eval(epoch: int, with_histogram: bool) -> None:
         nonlocal pending
         settle()
-        if overlap:  # on a frozen copy: training updates params in place meanwhile
+        if pool is not None:  # on a frozen copy: training updates params in place meanwhile
             pending = pool.submit(
                 _eval_state,
                 config, copy.deepcopy(params), train_set, test_set, root_rng, epoch, with_histogram,
@@ -395,13 +395,13 @@ class SweepSpec:
 def sweep_from_dict(raw: dict) -> SweepSpec:
     """Parse a sweep config; each override is checked by the config it lands in."""
     check_fields(raw, {"config_version", "base", "overrides", "max_configs"}, "sweep config")
-    if raw.get("config_version") != CONFIG_VERSION:
-        raise ValidationError(f"config_version must be {CONFIG_VERSION}")
+    _check_config_version(raw)
     overrides = raw.get("overrides", {})
     check_fields(overrides, {"profiles", "lrs", "seeds"}, "sweep overrides")
     try:
         sweep = SweepSpec(
-            base=config_from_dict({**raw.get("base", {}), "config_version": CONFIG_VERSION}),
+            # a base may carry its own config_version, checked like a run config's
+            base=config_from_dict({"config_version": CONFIG_VERSION, **raw.get("base", {})}),
             profiles=[TemperatureProfile.from_dict(p) for p in overrides.get("profiles", [])],
             lrs=overrides.get("lrs", []),
             seeds=overrides.get("seeds", []),
@@ -425,53 +425,32 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def _run_sweep_entry(args: tuple[int, ExperimentConfig, int]) -> tuple[int, str, list, float]:
-    index, config, concurrent_runs = args
-    start = time.monotonic()
-    try:
-        result = run_experiment(config, concurrent_runs=concurrent_runs)
-        return index, "ok", result.reports, time.monotonic() - start
+def _run_sweep_entry(args: tuple[int, ExperimentConfig]) -> tuple[int, str, list]:
+    index, config = args
+    try:  # a sweep parallelises across its processes only, so its runs evaluate inline
+        return index, "ok", run_experiment(config, overlap_evals=False).reports
     except Exception as err:  # failures are data: recorded, sweep continues
-        return index, f"error: {type(err).__name__}: {err}", [], time.monotonic() - start
+        return index, f"error: {type(err).__name__}: {err}", []
 
 
-def resolve_worker_count(explicit: Optional[int] = None) -> int:
-    """Worker count from the argument, else ${DYSTRESS_WORKERS}, else 1.
-
-    Counts below 1 are rejected, not rounded up to 1.
-    """
-    if explicit is not None:
-        count, where = explicit, "workers"
-    else:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if not env:
-            return 1
-        try:
-            count, where = int(env), WORKERS_ENV_VAR
-        except ValueError as err:
-            raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from err
-    if count < 1:
-        raise ValidationError(f"{where} must be at least 1, got {count}")
-    return count
-
-
-def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: Optional[int] = None) -> Path:
+def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: int = 1) -> Path:
     """Run every config; write sweep_dir/sweep.csv ordered by (config, epoch).
 
-    A failed run contributes a single row with its error in the status column
-    and empty metric columns; remaining runs still execute. A worker process
-    that dies (a signal, the OOM killer) breaks the pool: the runs that had
-    finished keep their rows, every other run gets a `BrokenProcessPool` error
-    row, and the CSV is still written. Returns the CSV path.
+    `workers` (at least 1) runs go at once, each in a worker process, or one
+    after another in this process when it is 1; every run evaluates inline.
+    A failed run contributes a single row with its error in the status
+    column and empty metric columns; remaining runs still execute. A worker
+    process that dies (a signal, the OOM killer) breaks the pool: the runs
+    that had finished keep their rows, every other run gets a
+    `BrokenProcessPool` error row, and the CSV is still written. Returns the
+    CSV path.
     """
     sweep_dir = Path(sweep_dir)
     configs = sweep.expand(sweep_dir)
     # the fork start method launches every pool process up front, so a pool
     # never gets more processes than it has configs to run
-    worker_count = min(resolve_worker_count(workers), len(configs))
-    # each run is told how many runs share the CPUs, so that it overlaps
-    # its evals with training only when a CPU is spare
-    entries = [(index, config, worker_count) for index, config in enumerate(configs)]
+    worker_count = min(check_int("workers", workers, 1), len(configs))
+    entries = list(enumerate(configs))
     if worker_count > 1:
         outcomes = []
         with ProcessPoolExecutor(max_workers=worker_count) as pool:
@@ -480,12 +459,12 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: Optional[int] = 
                 try:
                     outcomes.append(future.result())
                 except BrokenProcessPool as err:
-                    outcomes.append((index, f"error: BrokenProcessPool: {err}", [], 0.0))
+                    outcomes.append((index, f"error: BrokenProcessPool: {err}", []))
     else:
         outcomes = [_run_sweep_entry(e) for e in entries]
 
     rows = []
-    for index, status, reports, _elapsed in outcomes:
+    for index, status, reports in outcomes:
         config = configs[index]
         prefix = f"{index},{config.profile.spec_string()},{fmt(config.optimizer.lr)},{config.seed}"
         if status != "ok":

@@ -219,27 +219,6 @@ def grad_wrt_embeddings(
     return _infonce(batch.view_a, batch.view_b, profile, mode)
 
 
-def relative_penalty(scaled_row: np.ndarray, negative_index: int, positive_index: int) -> float:
-    """Softmax share of one negative among a row's negative entries.
-
-    This is |dL/ds_ij| / |dL/ds_ii+| for a fixed-temperature row: the
-    fraction of the anchor's repulsion budget spent on that negative.
-    Computed with max subtraction.
-    """
-    row = np.asarray(scaled_row, dtype=np.float64)
-    if row.ndim != 1:
-        raise ValidationError("scaled_row must be one-dimensional")
-    if not (0 <= positive_index < row.size) or not (0 <= negative_index < row.size):
-        raise ValidationError("row indices out of range")
-    if negative_index == positive_index:
-        raise ValidationError("the positive entry has no relative penalty")
-    negatives = np.delete(row, positive_index)
-    neg_idx = negative_index - (1 if negative_index > positive_index else 0)
-    shifted = negatives - negatives.max()
-    e = np.exp(shifted)
-    return float(e[neg_idx] / np.cumsum(e)[-1])
-
-
 def loss_on_embeddings(
     z: np.ndarray,
     profile: TemperatureProfile,

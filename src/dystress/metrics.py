@@ -27,6 +27,7 @@ from .geometry import EmbeddingBatch, PairKind, clamp_similarities
 
 DEFAULT_KNN_K = 20
 DEFAULT_KNN_WEIGHT_TEMPERATURE = 0.07
+KNN_WEIGHT_TEMPERATURE_FLOOR = 1.0 / 700.0  # exp(s / T) for |s| <= 1 stays finite and normal
 HISTOGRAM_BINS = 100
 
 
@@ -116,6 +117,12 @@ def tolerance(points: np.ndarray, labels: np.ndarray) -> float:
     return float(total / count)
 
 
+def check_knn_weight_temperature(value: float) -> None:
+    """ValidationError unless 1/700 <= `value` < inf, the range where every vote weight is finite."""
+    if not (KNN_WEIGHT_TEMPERATURE_FLOOR <= value < np.inf):
+        raise ValidationError(f"kNN weight temperature must lie in [1/700, inf), got {value!r}")
+
+
 def knn_probe(
     train_points: np.ndarray,
     train_labels: np.ndarray,
@@ -138,8 +145,7 @@ def knn_probe(
         raise ValidationError("knn probe needs non-empty train and test sets")
     if not (1 <= k <= train_points.shape[0]):
         raise ValidationError(f"k must be in [1, {train_points.shape[0]}], got {k}")
-    if not (0.0 < weight_temperature < np.inf):
-        raise ValidationError(f"weight temperature must be positive and finite, got {weight_temperature!r}")
+    check_knn_weight_temperature(weight_temperature)
     classes, class_index = np.unique(train_labels, return_inverse=True)
     correct = 0
     for start, stop in row_chunks(test_points.shape[0], train_points.shape[0]):

@@ -62,8 +62,11 @@ MALFORMED_CONFIG_VALUES = [
     ("profile.sharpness", 800),
     ("profile.tau_min", 0.002),
     ("profile", {"variant": "constant", "tau_min": 0.1, "tau_max": 0.2}),
+    ("config_version", True),
+    ("config_version", 1.0),
+    ("knn_weight_temperature", 1e-300),
 ]
-MALFORMED_SWEEP_VALUES = [("overrides", {"seeds": ["a"]}), ("max_configs", "x")]
+MALFORMED_SWEEP_VALUES = [("overrides", {"seeds": ["a"]}), ("max_configs", "x"), ("config_version", True)]
 
 
 def malformed_runs():
@@ -85,6 +88,15 @@ def test_malformed_config_value_exit_1(tmp_path, capsys, command, payload):
     assert code == EXIT_VALIDATION
     assert "error:" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("path", ["encoder.init_scale", "optimizer.lr"])
+def test_diverging_run_exit_2(tmp_path, capsys, path):
+    # the encoder's output norm overflows: a numeric failure, not a malformed config
+    config_path = write_config(tmp_path, with_value(TINY_CONFIG, path, 1e300))
+    assert main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "numeric failure:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_batch, reference_block_rows
 
-from dystress.errors import BatchTooSmallError, DegenerateInputError, ValidationError
+from dystress.errors import BatchTooSmallError, DegenerateInputError, NumericError, ValidationError
 from dystress.geometry import (
     EmbeddingBatch,
     PairKind,
@@ -30,6 +30,16 @@ class TestL2Normalize:
     def test_degenerate_norm(self):
         with pytest.raises(DegenerateInputError):
             l2_normalize(np.array([1e-300, 0.0]))
+
+    @pytest.mark.parametrize(
+        "v",
+        [[[1e200, 1e200, 0.0]], [[3.0, 4.0], [np.nan, 1.0]], [1e200, 1e200], [np.inf, 0.0]],
+        ids=["overflowing-row", "nan-row", "overflowing-vector", "inf-vector"],
+    )
+    def test_non_finite_norm_is_a_numeric_error(self, v):
+        # an overflowing norm once divided the row down to zeros
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="norm"):
+            l2_normalize(np.array(v))
 
     def test_rows(self):
         m = l2_normalize(np.array([[3.0, 4.0], [0.0, 2.0]]))

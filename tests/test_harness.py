@@ -249,8 +249,8 @@ STEP_WAIT_S = 30
 ARTIFACTS = ("metrics.csv", "histogram_epoch0.csv", "histogram_final.csv", "embeddings.jsonl", "checkpoint.json")
 CPUS = len(os.sched_getaffinity(0))
 STEPS_PER_EPOCH = 3  # TINY: 30 samples in batches of 10
-# one run alone may overlap; as many runs as CPUs leave no CPU spare, so evals run inline
-RUN_MODES = [pytest.param(1, id="overlapped"), pytest.param(CPUS, id="inline")]
+# overlap_evals: a lone run may overlap its evals with training; a sweep's runs evaluate inline
+RUN_MODES = [pytest.param(True, id="overlapped"), pytest.param(False, id="inline")]
 
 
 def eval_threads() -> list[threading.Thread]:
@@ -298,13 +298,13 @@ class TestEvalOverlap:
         monkeypatch.setattr(harness.enc, "sgd_step", recording_step)
         monkeypatch.setattr(harness, "_eval_state", waiting_eval)
         results = {}
-        for name, concurrent_runs, wait_s in (
-            ("overlapped", 1, STEP_WAIT_S if can_overlap else 0),
-            ("inline", CPUS, 0),
+        for name, overlap_evals, wait_s in (
+            ("overlapped", True, STEP_WAIT_S if can_overlap else 0),
+            ("inline", False, 0),
         ):
             stepped.clear()
             config = dataclasses.replace(tiny_config(), out_dir=tmp_path / name)
-            results[name] = run_joined(config, concurrent_runs=concurrent_runs)
+            results[name] = run_joined(config, overlap_evals=overlap_evals)
         assert saw_step == [can_overlap, False]
         for artifact in ARTIFACTS:
             assert (tmp_path / "overlapped" / artifact).read_bytes() == (
@@ -312,8 +312,8 @@ class TestEvalOverlap:
             ).read_bytes(), artifact
         assert [r.epoch for r in results["overlapped"].reports] == [0, 2, 4]
 
-    @pytest.mark.parametrize("concurrent_runs", RUN_MODES)
-    def test_eval_error_wins_over_a_later_training_error(self, monkeypatch, concurrent_runs):
+    @pytest.mark.parametrize("overlap_evals", RUN_MODES)
+    def test_eval_error_wins_over_a_later_training_error(self, monkeypatch, overlap_evals):
         real_probe, real_step = harness.metrics_mod.knn_probe, harness.enc.sgd_step
         evals, steps = [], []
 
@@ -332,10 +332,10 @@ class TestEvalOverlap:
         monkeypatch.setattr(harness.metrics_mod, "knn_probe", failing_probe)
         monkeypatch.setattr(harness.enc, "sgd_step", failing_step)
         with pytest.raises(NumericError, match="eval at epoch 2 failed"):
-            run_joined(tiny_config(), concurrent_runs=concurrent_runs)
+            run_joined(tiny_config(), overlap_evals=overlap_evals)
 
-    @pytest.mark.parametrize("concurrent_runs", RUN_MODES)
-    def test_failed_eval_stops_training_before_the_next_eval(self, monkeypatch, concurrent_runs):
+    @pytest.mark.parametrize("overlap_evals", RUN_MODES)
+    def test_failed_eval_stops_training_before_the_next_eval(self, monkeypatch, overlap_evals):
         real_step = harness.enc.sgd_step
         steps = []
 
@@ -349,17 +349,17 @@ class TestEvalOverlap:
         monkeypatch.setattr(harness, "_eval_state", failing_eval)
         monkeypatch.setattr(harness.enc, "sgd_step", counting_step)
         with pytest.raises(NumericError, match="initial eval failed"):
-            run_joined(tiny_config(epochs=100, eval_every=100), concurrent_runs=concurrent_runs)
+            run_joined(tiny_config(epochs=100, eval_every=100), overlap_evals=overlap_evals)
         assert len(steps) < 100 * STEPS_PER_EPOCH
 
-    @pytest.mark.parametrize("concurrent_runs", RUN_MODES)
-    def test_training_error_raised_when_evals_pass(self, monkeypatch, concurrent_runs):
+    @pytest.mark.parametrize("overlap_evals", RUN_MODES)
+    def test_training_error_raised_when_evals_pass(self, monkeypatch, overlap_evals):
         def failing_step(*args):
             raise ValidationError("training failed")
 
         monkeypatch.setattr(harness.enc, "sgd_step", failing_step)
         with pytest.raises(ValidationError, match="training failed"):
-            run_joined(tiny_config(), concurrent_runs=concurrent_runs)
+            run_joined(tiny_config(), overlap_evals=overlap_evals)
 
     def test_blas_thread_count_restored(self):
         calls = numeric._openblas_thread_calls()
@@ -458,24 +458,26 @@ class TestSweep:
         parallel = run_sweep(sweep, sweep_dir=tmp_path / "parallel", workers=2)
         assert serial.read_text() == parallel.read_text()
 
-    def test_worker_env_parsing(self, monkeypatch):
-        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "3")
-        assert harness.resolve_worker_count() == 3
-        monkeypatch.setenv(harness.WORKERS_ENV_VAR, "zero")
-        with pytest.raises(ValidationError):
-            harness.resolve_worker_count()
-        monkeypatch.delenv(harness.WORKERS_ENV_VAR)
-        assert harness.resolve_worker_count() == 1
-        assert harness.resolve_worker_count(4) == 4
-
-    @pytest.mark.parametrize("explicit, env", [(0, None), (-3, None), (None, "-2"), (None, "0")])
-    def test_worker_count_below_one_rejected(self, monkeypatch, explicit, env):
-        if env is None:
-            monkeypatch.delenv(harness.WORKERS_ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(harness.WORKERS_ENV_VAR, env)
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, tmp_path, workers):
         with pytest.raises(ValidationError, match="at least 1"):
-            harness.resolve_worker_count(explicit)
+            run_sweep(SweepSpec(base=tiny_config(epochs=0)), sweep_dir=tmp_path, workers=workers)
+        assert not (tmp_path / "sweep.csv").exists()
+
+    def test_serial_sweep_evaluates_inline(self, tmp_path, monkeypatch):
+        # a sweep parallelises across processes only: even alone, its runs start no eval thread
+        real_eval = harness._eval_state
+        eval_thread_names = []
+
+        def recording_eval(*args):
+            eval_thread_names.append(threading.current_thread().name)
+            return real_eval(*args)
+
+        monkeypatch.setattr(harness, "_eval_state", recording_eval)
+        sweep = SweepSpec(base=tiny_config(), seeds=[0, 1])
+        run_sweep(sweep, sweep_dir=tmp_path, workers=1)
+        assert len(eval_thread_names) == 2 * 3  # epochs 0, 2 and 4 of each run
+        assert eval_thread_names == [threading.current_thread().name] * len(eval_thread_names)
 
     def test_pool_never_outnumbers_configs(self, tmp_path, monkeypatch):
         # a stand-in pool records its size and runs serially, so no

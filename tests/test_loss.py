@@ -27,7 +27,6 @@ from dystress.loss import (
     grad_wrt_embeddings,
     grad_wrt_similarity,
     loss_on_embeddings,
-    relative_penalty,
 )
 from dystress.numeric import finite_difference_grad, max_relative_error
 from dystress.temperature import TAU_MIN_FLOOR, TemperatureProfile
@@ -310,37 +309,6 @@ class TestNtXentEquivalence:
             assert abs(ours.loss - reference_ntxent(batch.view_a, batch.view_b, 0.1)) < 1e-10
             ref_dz = reference_grad_dz(batch.view_a, batch.view_b, const)
             assert np.max(np.abs(ours.dL_dz - ref_dz)) < 1e-10
-
-
-class TestRelativePenalty:
-    def test_two_negatives(self):
-        row = np.array([9.0, 5.0, 0.0])
-        r = relative_penalty(row, negative_index=1, positive_index=0)
-        assert abs(r - math.exp(5) / (math.exp(5) + 1.0)) < 1e-12
-        assert abs(r - 0.9933071490757153) < 1e-12
-
-    def test_uniform_negatives(self):
-        row = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
-        for j in range(1, 5):
-            assert abs(relative_penalty(row, j, 0) - 0.25) < 1e-12
-
-    def test_single_negative(self):
-        assert relative_penalty(np.array([3.0, -1.0]), 1, 0) == 1.0
-
-    def test_monotone_in_similarity(self, rng):
-        # fixed tau: the penalty grows strictly with the negative's logit
-        batch = random_batch(rng, 5, 6)
-        block = build_logits_block(batch, TemperatureProfile.constant(0.1))
-        row = block.scaled[0]
-        pos = int(block.positive_column[0])
-        neg_cols = [c for c in range(row.size) if c != pos]
-        neg_cols.sort(key=lambda c: row[c])
-        penalties = [relative_penalty(row, c, pos) for c in neg_cols]
-        assert all(b > a for a, b in zip(penalties, penalties[1:]))
-
-    def test_positive_index_rejected(self):
-        with pytest.raises(ValidationError):
-            relative_penalty(np.array([1.0, 2.0]), 0, 0)
 
 
 class TestLossOnEmbeddings:

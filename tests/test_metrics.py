@@ -8,6 +8,7 @@ from conftest import random_batch
 from dystress.errors import ValidationError
 from dystress.geometry import EmbeddingBatch, PairKind, l2_normalize
 from dystress.metrics import (
+    KNN_WEIGHT_TEMPERATURE_FLOOR,
     alignment,
     interclass_uniformity,
     knn_probe,
@@ -151,12 +152,19 @@ class TestKnnProbe:
         with pytest.raises(ValidationError):
             knn_probe(np.eye(2), np.array([0, 1]), np.eye(2), np.array([0, 1]), k=3)
 
-    @pytest.mark.parametrize("weight_temperature", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("weight_temperature", [0.0, -1.0, float("nan"), float("inf"), 1e-300, 1 / 701])
     def test_weight_temperature_rejected(self, weight_temperature):
         train = np.eye(3)
         labels = np.array([0, 1, 2])
         with pytest.raises(ValidationError, match="weight temperature"):
             knn_probe(train, labels, train, labels, k=1, weight_temperature=weight_temperature)
+
+    def test_weight_temperature_floor_weights_stay_finite(self):
+        train = np.eye(3)
+        labels = np.array([0, 1, 2])
+        with np.errstate(over="raise"):
+            top1 = knn_probe(train, labels, train, labels, k=3, weight_temperature=KNN_WEIGHT_TEMPERATURE_FLOOR)
+        assert top1 == 1.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from dystress.encoder import NONLINEARITIES, EncoderSpec, OptimizerSettings
 from dystress.harness import ExperimentConfig, config_from_dict
 from dystress.loss import LossMode
+from dystress.metrics import KNN_WEIGHT_TEMPERATURE_FLOOR
 from dystress.synthetic import SyntheticSpec
 from dystress.temperature import (
     PROFILE_FORMS,
@@ -85,7 +86,7 @@ def configs(draw):
         epochs=draw(st.integers(0, 10_000)),
         eval_every=draw(st.integers(1, 1000)),
         knn_k=draw(st.integers(1, 1000)),
-        knn_weight_temperature=draw(POSITIVE),
+        knn_weight_temperature=draw(st.floats(KNN_WEIGHT_TEMPERATURE_FLOOR, allow_infinity=False)),
         out_dir=draw(st.sampled_from([None, "runs/exp0"])),
     )
 
