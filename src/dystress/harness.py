@@ -7,11 +7,11 @@ generation, weight init, batch order, and augmentations all derive from
 named substreams of the one seed, and every reduction is executed in a
 fixed order, so repeating a run reproduces its metrics CSV byte for byte.
 
-A run pins NumPy's OpenBLAS to one thread. Each command has one kind of
-parallelism. A lone run (`simulate`) with a CPU to spare runs each periodic
-eval on a worker thread from a frozen copy of the parameters while the next
-epochs train. A sweep runs whole runs in `workers` processes, and each of
-its runs evaluates inline. The artifacts do not depend on either.
+A run keeps freed tiles in glibc's heap and pins NumPy's OpenBLAS to one
+thread. Each command has one kind of parallelism: a lone run (`simulate`)
+with a CPU to spare evals on a worker thread from a frozen copy of the
+parameters while the next epochs train; a sweep runs whole runs in `workers`
+processes, each evaluating inline. No bit of the artifacts depends on these.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import metrics as metrics_mod
 from . import synthetic
 from .errors import NumericError, ValidationError, check_fields, check_int, from_section
 from .geometry import EmbeddingBatch, write_embedding_dump
-from .numeric import Rng, fmt, single_blas_thread
+from .numeric import Rng, fmt, retain_freed_memory, single_blas_thread
 from .temperature import TemperatureProfile
 
 CONFIG_VERSION = 1
@@ -218,6 +218,7 @@ def run_experiment(
     training resumes. Either way the results are the same, and an eval's
     error is raised before any error of the epochs that trained after it.
     """
+    retain_freed_memory()
     with single_blas_thread() as pinned:
         if not (overlap_evals and pinned and _spare_cpu()):
             return _run(config, data_path, pool=None)
@@ -433,6 +434,22 @@ def _run_sweep_entry(args: tuple[int, ExperimentConfig]) -> tuple[int, str, list
         return index, f"error: {type(err).__name__}: {err}", []
 
 
+def _pooled_outcomes(entries: list, workers: int, retry: bool) -> list[tuple[int, str, list]]:
+    """Outcomes in entry order; with `retry`, a run that a broken pool failed reruns alone."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_sweep_entry, e) for e in entries]
+    outcomes = []  # read after shutdown, so the reruns go one at a time
+    for entry, future in zip(entries, futures):
+        try:
+            outcomes.append(future.result())
+        except BrokenProcessPool as err:
+            if retry:
+                outcomes += _pooled_outcomes([entry], 1, retry=False)
+            else:
+                outcomes.append((entry[0], f"error: BrokenProcessPool: {err}", []))
+    return outcomes
+
+
 def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: int = 1) -> Path:
     """Run every config; write sweep_dir/sweep.csv ordered by (config, epoch).
 
@@ -440,10 +457,10 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: int = 1) -> Path
     after another in this process when it is 1; every run evaluates inline.
     A failed run contributes a single row with its error in the status
     column and empty metric columns; remaining runs still execute. A worker
-    process that dies (a signal, the OOM killer) breaks the pool: the runs
-    that had finished keep their rows, every other run gets a
-    `BrokenProcessPool` error row, and the CSV is still written. Returns the
-    CSV path.
+    process that dies (a signal, the OOM killer) breaks the pool; each run it
+    failed reruns once, alone in a fresh 1-worker pool, one at a time. Only
+    a run that breaks its own pool gets a `BrokenProcessPool` error row, and
+    the CSV is still written. Returns the CSV path.
     """
     sweep_dir = Path(sweep_dir)
     configs = sweep.expand(sweep_dir)
@@ -452,14 +469,7 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: int = 1) -> Path
     worker_count = min(check_int("workers", workers, 1), len(configs))
     entries = list(enumerate(configs))
     if worker_count > 1:
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=worker_count) as pool:
-            futures = [pool.submit(_run_sweep_entry, e) for e in entries]
-            for index, future in enumerate(futures):
-                try:
-                    outcomes.append(future.result())
-                except BrokenProcessPool as err:
-                    outcomes.append((index, f"error: BrokenProcessPool: {err}", []))
+        outcomes = _pooled_outcomes(entries, worker_count, retry=True)
     else:
         outcomes = [_run_sweep_entry(e) for e in entries]
 

@@ -11,6 +11,8 @@ memory depends on the chunk size and not on the square of the dataset size.
 
 `single_blas_thread` pins NumPy's bundled OpenBLAS to one thread, so that two
 threads of one process can each run NumPy on their own core.
+`retain_freed_memory` keeps freed tiles in glibc's heap, so that the next step
+does not fault them in again. Neither setting moves a bit of any result.
 """
 
 from __future__ import annotations
@@ -121,6 +123,24 @@ def single_blas_thread() -> Iterator[bool]:
         yield True
     finally:
         set_threads(previous)
+
+
+@functools.cache
+def retain_freed_memory() -> bool:
+    """Keep freed blocks in glibc's heap; returns whether both settings took.
+
+    Otherwise glibc hands big freed tiles back to the kernel, and the next step
+    or eval chunk faults them in again. These are the caps glibc's dynamic
+    thresholds climb to on 64-bit anyway (32 MiB; twice that for trimming).
+    Process-wide and never restored: `mallopt` has no getter. No glibc, no change.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        # M_MMAP_THRESHOLD (-3), then M_TRIM_THRESHOLD (-1); each returns 1 when it took
+        return mallopt(-3, 32 * 2**20) == 1 and mallopt(-1, 64 * 2**20) == 1
+    except (OSError, AttributeError, TypeError):
+        return False
 
 
 def stable_row_softmax(logits: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings. The heavy criteria (7 and 8) share one set of training
-runs through a session fixture.
+runs through a session fixture, which runs them in a process pool.
 
 Criterion 3 note: the boundary constants are the integral constants c that
 anchor the ODE curve tau(s) = s / log(delta K s - c) at tau_max at the
@@ -18,7 +18,10 @@ anchor formula.
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -26,7 +29,7 @@ import pytest
 from conftest import random_batch, reference_grad_dz, reference_ntxent
 
 from dystress import encoder as enc
-from dystress import harness
+from dystress import harness, synthetic
 from dystress.cli import EXIT_OK, main
 from dystress.geometry import EmbeddingBatch, build_logits_block, l2_normalize
 from dystress.loss import LossMode, grad_wrt_embeddings, loss_on_embeddings
@@ -58,20 +61,63 @@ def report_pass(number: int, started: float, detail: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _benefit_run(config: harness.ExperimentConfig) -> harness.RunResult:
+    return harness.run_experiment(config, overlap_evals=False)
+
+
 @pytest.fixture(scope="session")
-def benefit_runs():
-    """Five seeds of the default config under both temperature rules."""
-    runs = []
-    for seed in range(5):
-        config = harness.default_config(seed=seed)
-        dystress_run = harness.run_experiment(
-            dataclasses.replace(config, profile=COSINE_BEST)
+def benefit_runs(tmp_path_factory):
+    """Five seeds of the default config under both temperature rules.
+
+    The ten runs go to a fork pool of up to two processes, so each one
+    evaluates inline. Each writes its artifacts, which
+    `test_benefit_runs_match_a_serial_run` reads back.
+    """
+    root = tmp_path_factory.mktemp("benefit")
+    configs = [
+        dataclasses.replace(
+            harness.default_config(seed=seed), profile=profile, out_dir=root / f"{name}_{seed}"
         )
-        constant_run = harness.run_experiment(
-            dataclasses.replace(config, profile=TemperatureProfile.constant(0.1))
-        )
-        runs.append((seed, dystress_run, constant_run))
-    return runs
+        for seed in range(5)
+        for name, profile in (("cosine", COSINE_BEST), ("constant", TemperatureProfile.constant(0.1)))
+    ]
+    workers = min(2, len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        results = list(pool.map(_benefit_run, configs))
+    return [(seed, results[2 * seed], results[2 * seed + 1]) for seed in range(5)]
+
+
+def test_benefit_runs_match_a_serial_run(benefit_runs):
+    """Each pooled run's first and final evals equal this process's, with no training.
+
+    The initial eval needs only the seed; the final one reads the run's
+    checkpoint. Reports and histograms must match bit for bit.
+    """
+    for _, *runs in benefit_runs:
+        for run in runs:
+            config = run.config
+            root_rng = Rng(config.seed)
+            train_set = synthetic.generate(config.synthetic, config.seed)
+            test_set = synthetic.generate_eval_split(
+                config.synthetic, train_set.class_centers, root_rng.substream("testdata")
+            )
+            evals = [
+                (enc.init_params(config.encoder, root_rng.substream("init")),
+                 run.reports[0], run.histogram_initial),
+                (enc.load_checkpoint(run.out_dir / "checkpoint.json"),
+                 run.final_report, run.histogram_final),
+            ]
+            for params, report, histogram in evals:
+                got, got_histogram, _ = harness._eval_state(
+                    config, params, train_set, test_set, root_rng, report.epoch, with_histogram=True
+                )
+                where = f"{config.profile.spec_string()} seed {config.seed} epoch {report.epoch}"
+                assert got == report, where
+                assert np.array_equal(got_histogram.bin_edges, histogram.bin_edges), where
+                assert got_histogram.counts.keys() == histogram.counts.keys(), where
+                for kind, counts in histogram.counts.items():
+                    assert np.array_equal(got_histogram.counts[kind], counts), where
+                assert got_histogram.annotations == histogram.annotations, where
 
 
 def binned_mean(hist, kind) -> float:

@@ -528,5 +528,6 @@ class TestSweep:
         dead = by_index[DYING_INDEX]
         assert len(dead) == 1 and "error: BrokenProcessPool" in dead[0]
         assert dead[0].count(",") == lines[0].count(",")
-        for index, rows in by_index.items():  # every other run finished or lost its pool
-            assert all(",ok," in row for row in rows) or "BrokenProcessPool" in rows[0], index
+        for index, rows in by_index.items():  # every other run finished, on a rerun if need be
+            if index != DYING_INDEX:
+                assert rows and all(",ok," in row for row in rows), index

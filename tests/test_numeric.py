@@ -1,14 +1,19 @@
 """Substrate tests: RNG determinism, stable softmax, finite differences."""
 
+import ctypes
+import resource
+
 import numpy as np
 import pytest
 
-from dystress import numeric
+from dystress import encoder as enc
+from dystress import harness, numeric, synthetic
 from dystress.errors import NumericError, ValidationError
 from dystress.numeric import (
     Rng,
     finite_difference_grad,
     max_relative_error,
+    retain_freed_memory,
     single_blas_thread,
     stable_row_softmax,
 )
@@ -121,3 +126,30 @@ class TestSingleBlasThread:
             assert get_threads() == 2
         finally:
             set_threads(before)
+
+
+class TestRetainFreedMemory:
+    def test_training_steps_fault_in_no_pages(self):
+        if not retain_freed_memory():
+            pytest.skip("no glibc mallopt in this process")
+        # 2560 samples: an epoch is 20 steps of the default batch of 128
+        config = harness.default_config(synthetic=synthetic.SyntheticSpec(samples_per_class=256))
+        train_set = synthetic.generate(config.synthetic, config.seed)
+        rng = Rng(config.seed)
+        params = enc.init_params(config.encoder, rng.substream("init"))
+        state = enc.init_optimizer(params, config.optimizer)
+        # with OpenBLAS pinned, this thread runs all of a step's NumPy
+        who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+        with single_blas_thread():
+            harness._train_epoch(config, params, state, train_set, rng, epoch=0)  # warm-up
+            before = resource.getrusage(who).ru_minflt
+            harness._train_epoch(config, params, state, train_set, rng, epoch=1)
+            faults = resource.getrusage(who).ru_minflt - before
+        assert faults / 20 < 1.0, f"{faults} minor page faults in 20 training steps"
+
+    def test_without_glibc_returns_false(self, monkeypatch):
+        def no_libc(*args, **kwargs):
+            raise OSError("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_libc)
+        assert retain_freed_memory.__wrapped__() is False  # a fresh call, past the cache

@@ -32,6 +32,36 @@ ALL_PROFILES = [
 ]
 
 
+CLIP_PROFILES = ALL_PROFILES + [
+    TemperatureProfile.cosine_vanilla(0.07, 0.5),
+    TemperatureProfile.exponential(0.07, 0.3, sharpness=700.0),
+] + [
+    TemperatureProfile.cosine_shifted(0.1, 0.2, shift=s, scale=k)
+    for s, k in [(0.0, 0.5), (0.4, 0.7), (-0.2, 0.6), (0.6, 1.3), (-1.0, 2.0)]
+]
+
+
+def unclipped_tau(profile, s):
+    """Each variant's formula as `TemperatureProfile.tau` writes it, before its final clip."""
+    dt = profile.tau_max - profile.tau_min
+    if profile.variant == "constant":
+        return np.full_like(s, profile.tau_min)
+    if profile.variant == "cosine_vanilla":
+        return profile.tau_min + 0.5 * dt * (1.0 + np.cos(np.pi * (1.0 + s)))
+    if profile.variant == "cosine_shifted":
+        ds, k = profile.shift, profile.scale
+        in_window = ((ds <= 0) & (s <= -ds)) | ((ds >= 0) & (s >= -ds))
+        cosine = profile.tau_min + 0.5 * dt * (1.0 + np.cos((np.pi / k) * (ds + s)))
+        return np.where(in_window, cosine, profile.tau_max)
+    if profile.variant == "linear":
+        return profile.tau_min + dt * np.abs(s)
+    if profile.variant == "exponential":
+        a, m = profile.sharpness, np.abs(s)
+        return profile.tau_min + dt * np.exp(a * (m - 1.0)) * np.expm1(-a * m) / math.expm1(-a)
+    assert profile.variant == "monotonic_cosine"
+    return profile.tau_min + 0.5 * dt * (1.0 - np.cos(np.pi * (1.0 + s) / 2.0))
+
+
 class TestTau:
     def test_vanilla_endpoints_and_minimum(self):
         p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
@@ -82,6 +112,22 @@ class TestTau:
         tau = profile.tau(s)
         assert np.all(tau >= profile.tau_min - 1e-12)
         assert np.all(tau <= profile.tau_max + 1e-12)
+
+    @pytest.mark.parametrize("profile", CLIP_PROFILES, ids=lambda p: p.spec_string())
+    def test_final_clip_moves_only_round_off(self, profile):
+        # the clip is there for cos() round-off; a formula error would hide behind it
+        s = np.linspace(-1.0, 1.0, 20001)
+        edges = [-1.0, 1.0, -profile.shift, -profile.shift - profile.scale, -profile.shift + profile.scale]
+        edges = np.array([e for e in edges if -1.0 <= e <= 1.0])
+        s = np.concatenate([s, edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)])
+        s = np.clip(s, -1.0, 1.0)
+        reference = unclipped_tau(profile, s)
+        assert np.array_equal(
+            profile.tau(s), np.clip(reference, profile.tau_min, profile.tau_max)
+        )
+        ulp = 4 * np.spacing(profile.tau_max)  # the larger of the two ends' ulp
+        assert np.all(reference >= profile.tau_min - ulp), reference.min() - profile.tau_min
+        assert np.all(reference <= profile.tau_max + ulp), reference.max() - profile.tau_max
 
     def test_domain_error_beyond_slack(self):
         p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
