@@ -49,11 +49,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return v / n[:, None]
 
 
-def clamp_similarities(s: np.ndarray) -> np.ndarray:
-    """Clamp cosine similarities to [-1, 1] (floating-point drift guard)."""
-    return np.clip(s, -1.0, 1.0)
-
-
 def strip_diagonal(m: np.ndarray) -> np.ndarray:
     """Drop the diagonal of a square matrix, keeping row-wise column order."""
     n = m.shape[0]
@@ -181,7 +176,7 @@ def build_logits_block(batch: EmbeddingBatch, profile: TemperatureProfile) -> Lo
     s22 = vb @ vb.T
     top = np.hstack([s12, strip_diagonal(s11)])
     bottom = np.hstack([s12.T.copy(), strip_diagonal(s22)])
-    s = clamp_similarities(np.vstack([top, bottom]))
+    s = np.clip(np.vstack([top, bottom]), -1.0, 1.0)  # floating-point drift guard
     temperatures = profile.tau(s)
     return LogitsBlock(
         s=s,

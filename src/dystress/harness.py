@@ -9,8 +9,9 @@ fixed order, so repeating a run reproduces its metrics CSV byte for byte.
 
 A run keeps freed tiles in glibc's heap and pins NumPy's OpenBLAS to one
 thread. Each command has one kind of parallelism: a lone run (`simulate`)
-with a CPU to spare evals on a worker thread from a frozen copy of the
-parameters while the next epochs train; a sweep runs whole runs in `workers`
+with a CPU to spare evals on worker threads from frozen copies of the
+parameters while the next epochs train, up to two evals at once, and keeps
+their results in epoch order; a sweep runs whole runs in `workers`
 processes, each evaluating inline. No bit of the artifacts depends on these.
 """
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
@@ -38,6 +40,7 @@ from .temperature import TemperatureProfile
 
 CONFIG_VERSION = 1
 DEFAULT_SWEEP_CAP = 256
+EVALS_IN_FLIGHT = 2  # the spare CPU's, and the training CPU's while training waits
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,14 @@ def _eval_state(
     with_histogram: bool,
 ) -> tuple[metrics_mod.MetricsReport, Optional[metrics_mod.Histogram], EmbeddingBatch]:
     """Forward-only evaluation pass at a given number of completed epochs."""
-    e_train, _ = enc.encode(params, train_set.inputs)
-    e_test, _ = enc.encode(params, test_set.inputs)
+    # no forward cache and no augmented view stays live into the loss and the metrics
+    e_train = enc.encode(params, train_set.inputs)[0]
+    e_test = enc.encode(params, test_set.inputs)[0]
     rng_eval = root_rng.substream("eval-augment", index=epoch)
     v1, v2 = synthetic.augment_views(train_set.inputs, config.synthetic.augment_sigma, rng_eval)
-    z1, _ = enc.encode(params, v1)
-    z2, _ = enc.encode(params, v2)
+    z1 = enc.encode(params, v1)[0]
+    z2 = enc.encode(params, v2)[0]
+    del v1, v2
     batch = EmbeddingBatch(
         view_a=z1, view_b=z2, sample_ids=train_set.sample_ids, labels=train_set.labels
     )
@@ -213,16 +218,18 @@ def run_experiment(
     With `overlap_evals` (the default, as `simulate` runs), when OpenBLAS
     could be pinned to one thread and the process has a second CPU, each eval
     runs on a worker thread with a frozen copy of the parameters while the
-    next epochs train, at most one eval at a time. Otherwise, and always in a
-    sweep, which passes False, each eval runs in the calling thread before
-    training resumes. Either way the results are the same, and an eval's
-    error is raised before any error of the epochs that trained after it.
+    next epochs train. Up to two evals are in flight at once, one on the
+    spare CPU and one on the training CPU once training waits; their results
+    are settled in epoch order. Otherwise, and always in a sweep, which
+    passes False, each eval runs in the calling thread before training
+    resumes. Either way the results are the same, and an eval's error is
+    raised before any error of the epochs that trained after it.
     """
     retain_freed_memory()
     with single_blas_thread() as pinned:
         if not (overlap_evals and pinned and _spare_cpu()):
             return _run(config, data_path, pool=None)
-        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="dystress-eval") as pool:
+        with ThreadPoolExecutor(max_workers=EVALS_IN_FLIGHT, thread_name_prefix="dystress-eval") as pool:
             return _run(config, data_path, pool)
 
 
@@ -283,7 +290,7 @@ def _run(
 
     reports: list[metrics_mod.MetricsReport] = []
     kept: list[tuple[metrics_mod.Histogram, EmbeddingBatch]] = []  # of the initial and final evals
-    pending: Optional[Future] = None
+    pending: deque[Future] = deque()  # evals submitted to the pool, in epoch order
 
     def keep(
         report: metrics_mod.MetricsReport, histogram: Optional[metrics_mod.Histogram], batch: EmbeddingBatch
@@ -292,32 +299,27 @@ def _run(
         if histogram is not None:
             kept.append((histogram, batch))
 
-    def settle() -> None:
-        """Wait for the eval in flight, if any, and keep what it returned."""
-        nonlocal pending
-        if pending is not None:
-            future, pending = pending, None
-            keep(*future.result())
+    def settle(finished_only: bool = False) -> None:
+        """Keep what the pending evals returned, in epoch order, waiting for each unless `finished_only`."""
+        while pending and (not finished_only or pending[0].done()):
+            keep(*pending.popleft().result())
 
     def run_eval(epoch: int, with_histogram: bool) -> None:
-        nonlocal pending
-        settle()
         if pool is not None:  # on a frozen copy: training updates params in place meanwhile
-            pending = pool.submit(
+            pending.append(pool.submit(
                 _eval_state,
                 config, copy.deepcopy(params), train_set, test_set, root_rng, epoch, with_histogram,
-            )
+            ))
         else:
             keep(*_eval_state(config, params, train_set, test_set, root_rng, epoch, with_histogram))
 
     run_eval(0, with_histogram=True)
     for epoch in range(config.epochs):
-        if pending is not None and pending.done():
-            settle()  # an eval that failed stops the run before another epoch trains
+        settle(finished_only=True)  # an eval that failed stops the run before another epoch trains
         try:
             _train_epoch(config, params, state, train_set, root_rng, epoch)
         except Exception:
-            settle()  # the eval in flight comes before this epoch, and so does its error
+            settle()  # the evals in flight come before this epoch, and so do their errors
             raise
         completed = epoch + 1
         is_final = completed == config.epochs

@@ -47,48 +47,50 @@ class GradientBundle:
     dL_dz: np.ndarray  # 2N x D displacement vectors (view-a rows first)
 
 
-def _shifted_exp(s: np.ndarray, inv_tau: np.ndarray, shift: float) -> np.ndarray:
-    """exp(s / tau - shift), in one new array."""
-    e = s * inv_tau
-    e -= shift
-    return np.exp(e, out=e)
-
-
-def _fold_chunk(rows, view_a, view_b, profile, temperatures, shift, sums, positive):
+def _fold_chunk(rows, view_a, view_b, profile, temperatures, shift, sums, positive, mode=None):
     """Add anchor rows `rows` of both NxN pair matrices into the per-row sums.
 
     `sums` holds, per anchor row of view a and then of view b, the sum of
     exp(logit - shift) over its 2N - 1 partners. A cross tile entry (i, j)
     belongs to a-row i and b-row j, a packed entry above the diagonal to
     a-rows i and j, one below it to b-rows i and j; so each tile adds its row
-    and its column sums. Returns the tiles; a caller that drops them frees
-    them before the next chunk.
+    and its column sums. Returns the tiles dL/dz is chained from: with a
+    `mode`, the cross and packed factors of dL/ds; then e_cross, e_a and e_b.
     """
     n = view_a.shape[0]
     anchors, columns = np.arange(rows.start, rows.stop)[:, None], np.arange(n)
     upper = columns > anchors
-    # clamping, packing and 1/tau work in place: a fresh tile costs page
-    # faults whenever the heap was trimmed after the previous chunk
+    # four tiles at most: each product is clamped, scaled and exponentiated in
+    # place, and without a `mode` each 1/tau tile is freed before the next tau
     cross = view_a[rows] @ view_b.T
     packed = view_a[rows] @ view_a.T
-    np.copyto(packed, view_b[rows] @ view_b.T, where=~upper)
-    for s in (cross, packed):
+    e_b = view_b[rows] @ view_b.T  # b.b^T until the exps are in
+    np.copyto(packed, e_b, where=~upper)
+    factors = []
+    for which, s in enumerate((cross, packed)):
         np.clip(s, -1.0, 1.0, out=s)
-    if temperatures is None:
-        taus = profile.tau(cross), profile.tau(packed)
-    else:
-        taus = temperatures[0][rows].copy(), temperatures[1][rows].copy()
-    inv_cross, inv_packed = (np.divide(1.0, tau, out=tau) for tau in taus)
-    positive[rows] = np.diagonal(cross[:, rows]) * np.diagonal(inv_cross[:, rows])
-    e_cross = _shifted_exp(cross, inv_cross, shift)
-    e_a = _shifted_exp(packed, inv_packed, shift)
-    e_b = np.where(columns < anchors, e_a, 0.0)
+        inv_tau = profile.tau(s) if temperatures is None else temperatures[which][rows].copy()
+        np.divide(1.0, inv_tau, out=inv_tau)
+        if which == 0:
+            positive[rows] = np.diagonal(s[:, rows]) * np.diagonal(inv_tau[:, rows])
+        if mode is LossMode.COUPLED:
+            # (tau - s dtau) / tau^2 as (1 - s dtau / tau) / tau, before the exps
+            # overwrite s: a zero dtau leaves DETACHED's 1/tau bit for bit
+            factors.append((1.0 - s * profile.dtau_ds(s) * inv_tau) * inv_tau)
+        elif mode is LossMode.DETACHED:
+            factors.append(inv_tau)
+        s *= inv_tau
+        s -= shift
+        np.exp(s, out=s)
+        del inv_tau
+    e_cross, e_a = cross, packed
+    np.multiply(e_a, columns < anchors, out=e_b)
     e_a *= upper
     sums[0, rows] += row_sums(e_cross) + row_sums(e_a)
     sums[0] += e_a.sum(axis=0)
     sums[1] += e_cross.sum(axis=0) + e_b.sum(axis=0)
     sums[1, rows] += row_sums(e_b)
-    return cross, packed, inv_cross, inv_packed, e_cross, e_a, e_b
+    return (*factors, e_cross, e_a, e_b)
 
 
 def _infonce(
@@ -120,7 +122,7 @@ def _infonce(
         for start, stop in row_chunks(n, n):
             _fold_chunk(slice(start, stop), *args)
     else:
-        cross, packed, inv_cross, inv_packed, e_cross, e_a, e_b = _fold_chunk(slice(0, n), *args)
+        factor_cross, factor_packed, e_cross, e_a, e_b = _fold_chunk(slice(0, n), *args, mode)
     lse = shift + np.log(sums)
     if not np.all(np.isfinite(lse)):
         raise NumericError("similarity logits contain non-finite entries")
@@ -129,12 +131,6 @@ def _infonce(
         return loss
 
     # dL/ds = factor * d(lse - positive)/d(logit); DETACHED's factor is 1/tau
-    factor_cross, factor_packed = inv_cross, inv_packed
-    if mode is LossMode.COUPLED:
-        # (tau - s dtau) / tau^2 as (1 - s dtau / tau) / tau: a zero dtau
-        # leaves DETACHED's 1/tau bit for bit
-        factor_cross = (1.0 - cross * profile.dtau_ds(cross) * inv_cross) * inv_cross
-        factor_packed = (1.0 - packed * profile.dtau_ds(packed) * inv_packed) * inv_packed
     inv_a, inv_b = 1.0 / sums
     # a pair's logit enters the log-sum-exp of both its anchor rows
     g_cross = factor_cross * e_cross * (inv_a[:, None] + inv_b[None, :])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .numeric import fmt, row_chunks
-from .geometry import EmbeddingBatch, PairKind, clamp_similarities
+from .geometry import EmbeddingBatch, PairKind
 
 DEFAULT_KNN_K = 20
 DEFAULT_KNN_WEIGHT_TEMPERATURE = 0.07
@@ -77,8 +77,12 @@ def uniformity(points: np.ndarray) -> float:
     sq_norms = np.einsum("ij,ij->i", points, points)
     total = 0.0
     for rows, gram, upper in _upper_tiles(points):
-        sq_dists = np.maximum(sq_norms[rows, None] + sq_norms[None, rows.start :] - 2.0 * gram, 0.0)
-        total += np.sum(np.exp(-2.0 * sq_dists), where=upper)
+        # max(|x_i|^2 + |x_j|^2 - 2 x_i.x_j, 0), then exp(-2 d^2), in the Gram tile
+        gram *= 2.0
+        np.subtract(sq_norms[rows, None] + sq_norms[None, rows.start :], gram, out=gram)
+        np.maximum(gram, 0.0, out=gram)
+        gram *= -2.0
+        total += np.sum(np.exp(gram, out=gram), where=upper)
     return float(np.log(total / (n * (n - 1) // 2)))
 
 
@@ -110,7 +114,7 @@ def tolerance(points: np.ndarray, labels: np.ndarray) -> float:
     total, count = 0.0, 0
     for rows, gram, upper in _upper_tiles(points):
         same = upper & (labels[rows, None] == labels[None, rows.start :])
-        total += np.sum(clamp_similarities(gram), where=same)
+        total += np.sum(np.clip(gram, -1.0, 1.0, out=gram), where=same)
         count += np.count_nonzero(same)
     if count == 0:
         raise ValidationError("no same-label pair exists")
@@ -149,10 +153,13 @@ def knn_probe(
     classes, class_index = np.unique(train_labels, return_inverse=True)
     correct = 0
     for start, stop in row_chunks(test_points.shape[0], train_points.shape[0]):
-        sims = clamp_similarities(test_points[start:stop] @ train_points.T)
-        # a stable sort of -s: equal similarities keep the lower train index first
-        nearest = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        weights = np.exp(np.take_along_axis(sims, nearest, axis=1) / weight_temperature)
+        neg_sims = test_points[start:stop] @ train_points.T
+        np.clip(neg_sims, -1.0, 1.0, out=neg_sims)
+        np.negative(neg_sims, out=neg_sims)
+        # a stable sort of -s: equal similarities keep the lower train index first;
+        # the copy lets the whole argsort tile go
+        nearest = np.argsort(neg_sims, axis=1, kind="stable")[:, :k].copy()
+        weights = np.exp(-np.take_along_axis(neg_sims, nearest, axis=1) / weight_temperature)
         votes = np.zeros((stop - start, classes.size))
         rows = np.arange(stop - start)
         for rank in range(k):  # votes add up in rank order
@@ -187,13 +194,15 @@ def pair_histograms(
         same = labels[start:stop, None] == labels[None, :]
         own = np.arange(n)[None, :] == np.arange(start, stop)[:, None]
         other_same = same & ~own
-        cross = clamp_similarities(batch.view_a[start:stop] @ batch.view_b.T)
+        cross = batch.view_a[start:stop] @ batch.view_b.T
+        np.clip(cross, -1.0, 1.0, out=cross)
         # the block holds every cross-view entry twice: in a_i's row and in b_j's
         add(PairKind.TRUE_POSITIVE, cross[own], 2)
         add(PairKind.FALSE_NEGATIVE, cross[other_same], 2)
         add(PairKind.TRUE_NEGATIVE, cross[~same], 2)
         for view in (batch.view_a, batch.view_b):
-            within = clamp_similarities(view[start:stop] @ view.T)
+            within = view[start:stop] @ view.T
+            np.clip(within, -1.0, 1.0, out=within)
             add(PairKind.FALSE_NEGATIVE, within[other_same])
             add(PairKind.TRUE_NEGATIVE, within[~same])
     return Histogram(bin_edges=edges, counts=counts, annotations=dict(annotations or {}))

@@ -135,36 +135,71 @@ class TemperatureProfile:
     # -- evaluation --------------------------------------------------------
 
     def _check_domain(self, s: np.ndarray) -> np.ndarray:
+        """A clipped float64 copy of s; DomainError if some |s| exceeds 1 by more than the slack."""
         s = np.asarray(s, dtype=np.float64)
-        if np.any(np.abs(s) > 1.0 + DOMAIN_SLACK):
+        limit = 1.0 + DOMAIN_SLACK
+        if s.size and (s.min() < -limit or s.max() > limit):  # NaN passes, as it did
             bad = float(s.flat[int(np.argmax(np.abs(s)))])
             raise DomainError(f"cosine similarity {bad} outside [-1, 1]")
-        return np.clip(s, -1.0, 1.0)
+        return np.clip(s, -1.0, 1.0, out=np.empty_like(s))
 
     def tau(self, s):
         """Temperature per entry; accepts scalars or arrays, s in [-1, 1]."""
         scalar = np.isscalar(s) or np.ndim(s) == 0
-        s = self._check_domain(s)
+        out = self._check_domain(s)  # each formula runs in place on this copy, in its written order
         dt = self.tau_max - self.tau_min
         if self.variant == "constant":
-            out = np.full_like(s, self.tau_min)
+            out.fill(self.tau_min)
         elif self.variant == "cosine_vanilla":
-            out = self.tau_min + 0.5 * dt * (1.0 + np.cos(np.pi * (1.0 + s)))
+            # tau_min + 0.5 dt (1 + cos(pi (1 + s)))
+            out += 1.0
+            out *= np.pi
+            np.cos(out, out=out)
+            out += 1.0
+            out *= 0.5 * dt
+            out += self.tau_min
         elif self.variant == "cosine_shifted":
+            # tau_min + 0.5 dt (1 + cos((pi / k) (ds + s))) in the window, tau_max outside
             ds, k = self.shift, self.scale
-            in_window = ((ds <= 0) & (s <= -ds)) | ((ds >= 0) & (s >= -ds))
-            cosine = self.tau_min + 0.5 * dt * (1.0 + np.cos((np.pi / k) * (ds + s)))
-            out = np.where(in_window, cosine, self.tau_max)
+            in_window = ((ds <= 0) & (out <= -ds)) | ((ds >= 0) & (out >= -ds))
+            out += ds
+            out *= np.pi / k
+            np.cos(out, out=out)
+            out += 1.0
+            out *= 0.5 * dt
+            out += self.tau_min
+            np.copyto(out, self.tau_max, where=~in_window)
         elif self.variant == "linear":
-            out = self.tau_min + dt * np.abs(s)
+            # tau_min + dt |s|
+            np.abs(out, out=out)
+            out *= dt
+            out += self.tau_min
         elif self.variant == "exponential":
-            # (exp(a|s|) - 1) / (exp(a) - 1), scaled by exp(-a) so nothing overflows
-            a, m = self.sharpness, np.abs(s)
-            out = self.tau_min + dt * np.exp(a * (m - 1.0)) * np.expm1(-a * m) / math.expm1(-a)
+            # tau_min + dt exp(a (|s| - 1)) expm1(-a |s|) / expm1(-a): (exp(a|s|) - 1) /
+            # (exp(a) - 1), scaled by exp(-a) so nothing overflows
+            a = self.sharpness
+            np.abs(out, out=out)
+            tail = out.copy()
+            tail *= -a
+            np.expm1(tail, out=tail)
+            out -= 1.0
+            out *= a
+            np.exp(out, out=out)
+            out *= dt
+            out *= tail
+            out /= math.expm1(-a)
+            out += self.tau_min
         else:  # monotonic_cosine
-            out = self.tau_min + 0.5 * dt * (1.0 - np.cos(np.pi * (1.0 + s) / 2.0))
+            # tau_min + 0.5 dt (1 - cos(pi (1 + s) / 2))
+            out += 1.0
+            out *= np.pi
+            out /= 2.0
+            np.cos(out, out=out)
+            np.subtract(1.0, out, out=out)
+            out *= 0.5 * dt
+            out += self.tau_min
         # cos() round-off can leak a few ulp past the band
-        out = np.clip(out, self.tau_min, self.tau_max)
+        np.clip(out, self.tau_min, self.tau_max, out=out)
         return float(out) if scalar else out
 
     def dtau_ds(self, s):

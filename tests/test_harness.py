@@ -312,6 +312,33 @@ class TestEvalOverlap:
             ).read_bytes(), artifact
         assert [r.epoch for r in results["overlapped"].reports] == [0, 2, 4]
 
+    def test_two_evals_in_flight_settle_in_epoch_order(self, tmp_path, monkeypatch):
+        if numeric._openblas_thread_calls() is None or CPUS < 2:
+            pytest.skip("evals overlap only with OpenBLAS pinned and a second CPU")
+        real_eval = harness._eval_state
+        second_started = threading.Event()
+        saw_second = []  # per run: did the epoch-2 eval start while the epoch-0 eval ran?
+
+        def waiting_eval(config, params, train_set, test_set, root_rng, epoch, with_histogram):
+            if epoch == 2:
+                second_started.set()
+            elif epoch == 0:  # goes on only once the epoch-2 eval runs beside it
+                saw_second.append(second_started.wait(timeout=wait_s))
+            return real_eval(config, params, train_set, test_set, root_rng, epoch, with_histogram)
+
+        monkeypatch.setattr(harness, "_eval_state", waiting_eval)
+        results = {}
+        for name, overlap_evals, wait_s in (("overlapped", True, STEP_WAIT_S), ("inline", False, 0)):
+            second_started.clear()
+            config = dataclasses.replace(tiny_config(), out_dir=tmp_path / name)
+            results[name] = run_joined(config, overlap_evals=overlap_evals)
+        assert saw_second == [True, False]
+        assert [r.epoch for r in results["overlapped"].reports] == [0, 2, 4]
+        for artifact in ARTIFACTS:
+            assert (tmp_path / "overlapped" / artifact).read_bytes() == (
+                tmp_path / "inline" / artifact
+            ).read_bytes(), artifact
+
     @pytest.mark.parametrize("overlap_evals", RUN_MODES)
     def test_eval_error_wins_over_a_later_training_error(self, monkeypatch, overlap_evals):
         real_probe, real_step = harness.metrics_mod.knn_probe, harness.enc.sgd_step

@@ -1,6 +1,7 @@
 """Temperature profile family and ODE slope-verification tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,23 @@ class TestTau:
         tau = profile.tau(s)
         assert np.all(tau >= profile.tau_min - 1e-12)
         assert np.all(tau <= profile.tau_max + 1e-12)
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.spec_string())
+    def test_tau_allocates_only_its_output_tile(self, profile):
+        s = Rng(4).uniform((256, 256)) * 2.0 - 1.0
+        tile, mask = s.nbytes, s.size  # bytes of a float64 tile and of a bool mask
+        # exponential holds its expm1 factor beside the output; the shifted
+        # cosine's window takes three masks
+        allowed = (2 if profile.variant == "exponential" else 1) * tile + 3 * mask + 4096
+        profile.tau(s)  # warm up any one-off allocation
+        tracemalloc.start()
+        try:
+            out = profile.tau(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == s.shape
+        assert peak <= allowed, f"tau peaked at {peak / tile:.2f} tiles"
 
     @pytest.mark.parametrize("profile", CLIP_PROFILES, ids=lambda p: p.spec_string())
     def test_final_clip_moves_only_round_off(self, profile):
