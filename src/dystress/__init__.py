@@ -43,7 +43,6 @@ from .harness import (
     ExperimentConfig,
     RunResult,
     SweepSpec,
-    default_config,
     load_config,
     load_sweep,
     metrics_from_dump,

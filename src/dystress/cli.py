@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import harness, metrics as metrics_mod, temperature
 from .errors import NumericError, ValidationError
-from .geometry import EmbeddingBatch, build_logits_block, l2_normalize
+from .geometry import l2_normalize
 from .loss import LossMode, grad_wrt_embeddings, loss_on_embeddings
 from .numeric import Rng, finite_difference_grad, fmt, max_relative_error
 from .temperature import TemperatureProfile
@@ -142,24 +142,11 @@ def _cmd_gradcheck(args) -> int:
     worst = 0.0
     for _ in range(args.trials):
         z = l2_normalize(rng.normal((2 * args.n, args.d)))
-        batch = EmbeddingBatch(
-            view_a=z[: args.n],
-            view_b=z[args.n :],
-            sample_ids=[f"g{i}" for i in range(args.n)],
-        )
-        bundle = grad_wrt_embeddings(batch, profile, mode)
-        if mode is LossMode.DETACHED:
-            frozen = build_logits_block(batch, profile).temperatures
-
-            def f(flat, _frozen=frozen):
-                return loss_on_embeddings(flat.reshape(2 * args.n, args.d), profile, _frozen)
-
-        else:
-
-            def f(flat):
-                return loss_on_embeddings(flat.reshape(2 * args.n, args.d), profile)
-
-        fd = finite_difference_grad(f, z.ravel()).reshape(2 * args.n, args.d)
+        bundle = grad_wrt_embeddings(z, profile, mode)
+        frozen_at = z if mode is LossMode.DETACHED else None
+        fd = finite_difference_grad(
+            lambda flat: loss_on_embeddings(flat.reshape(z.shape), profile, frozen_at), z.ravel()
+        ).reshape(z.shape)
         worst = max(worst, max_relative_error(bundle.dL_dz, fd))
     passed = worst < GRADCHECK_THRESHOLD
     print(

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError, check_int
-from .geometry import l2_normalize
+from .geometry import unit_rows
 from .numeric import Rng, row_sums
 
 CHECKPOINT_MAGIC = "DYSTRESS-CKPT-1"
@@ -53,13 +53,17 @@ class EncoderSpec:
 
 @dataclass
 class EncoderParams:
-    """Per-layer weight matrices (out x in) and bias vectors."""
+    """Per-layer weight matrices (out x in) and bias vectors, checked when built.
+
+    A non-finite value written in place later, as `sgd_step` writes, makes
+    `encode` raise NumericError for its layer.
+    """
 
     spec: EncoderSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
 
-    def check_shapes(self):
+    def __post_init__(self):
         widths = self.spec.layer_widths
         if len(self.weights) != self.spec.num_layers or len(self.biases) != self.spec.num_layers:
             raise ValidationError("parameter count does not match the spec")
@@ -86,7 +90,6 @@ class ForwardCache:
 
     inputs: list[np.ndarray] = field(default_factory=list)  # input to each affine layer
     pre_activations: list[np.ndarray] = field(default_factory=list)
-    raw_output: np.ndarray | None = None  # before normalization
     norms: np.ndarray | None = None
     unit_output: np.ndarray | None = None
 
@@ -105,9 +108,9 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Forwa
     """Forward pass ending in row-wise L2 normalization.
 
     Returns the unit-norm embeddings and the cache needed by backward().
-    Raises NumericError naming the layer if activations go non-finite.
+    Parameters are checked when built; raises NumericError naming the layer
+    if activations go non-finite, as a non-finite weight or bias makes them.
     """
-    params.check_shapes()
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.spec.layer_widths[0]:
         raise ValidationError(
@@ -124,10 +127,8 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Forwa
             raise NumericError(f"non-finite activations in layer {l}")
         cache.pre_activations.append(pre)
         h = pre if l == last else _activate(params.spec, pre)
-    cache.raw_output = h
-    norms = np.linalg.norm(h, axis=1)
-    cache.norms = norms
-    z = l2_normalize(h)
+    cache.norms = np.linalg.norm(h, axis=1)
+    z = unit_rows(h, cache.norms)
     cache.unit_output = z
     return z, cache
 
@@ -139,9 +140,9 @@ def backward(
 
     Starts with the normalization Jacobian (I - zz^T)/|y| at the output
     layer, then standard backprop through the affine/nonlinear stack.
+    Parameters are not checked again: `EncoderParams` did when they were built.
     """
-    params.check_shapes()
-    if cache.raw_output is None or len(cache.inputs) != params.spec.num_layers:
+    if cache.unit_output is None or len(cache.inputs) != params.spec.num_layers:
         raise ValidationError("cache does not match this parameter set")
     g_z = np.asarray(dL_dz, dtype=np.float64)
     z = cache.unit_output
@@ -270,6 +271,4 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
         for l, w in enumerate(payload["weights"])
     ]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    params = EncoderParams(spec=spec, weights=weights, biases=biases)
-    params.check_shapes()
-    return params
+    return EncoderParams(spec=spec, weights=weights, biases=biases)

@@ -24,29 +24,28 @@ from .temperature import TemperatureProfile
 UNIT_NORM_TOL = 1e-9
 
 
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Normalize a vector (or each row of a matrix) to unit L2 norm.
+def unit_rows(v: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Each row of `v` divided by its norm, given as `norms`.
 
     Raises DegenerateInputError when a norm falls below 1e-12, and
     NumericError when a norm is not finite (a row that overflows or holds NaN).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        n = float(np.linalg.norm(v))
-        if n <= 1e-12:
-            raise DegenerateInputError(f"cannot normalize vector with norm {n:.3e}")
-        if not np.isfinite(n):
-            raise NumericError(f"cannot normalize vector with norm {n}")
-        return v / n
-    n = np.linalg.norm(v, axis=1)
-    if np.any(n <= 1e-12):
-        bad = int(np.argmin(n))
-        raise DegenerateInputError(f"cannot normalize row {bad} with norm {n[bad]:.3e}")
-    finite = np.isfinite(n)
+    if np.any(norms <= 1e-12):
+        bad = int(np.argmin(norms))
+        raise DegenerateInputError(f"cannot normalize row {bad} with norm {norms[bad]:.3e}")
+    finite = np.isfinite(norms)
     if not finite.all():
         bad = int(np.argmin(finite))
-        raise NumericError(f"cannot normalize row {bad} with norm {n[bad]}")
-    return v / n[:, None]
+        raise NumericError(f"cannot normalize row {bad} with norm {norms[bad]}")
+    return v / norms[:, None]
+
+
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Normalize a vector (or each row of a matrix) to unit L2 norm, as `unit_rows` checks."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 1:
+        return unit_rows(v[None, :], np.array([np.linalg.norm(v)]))[0]
+    return unit_rows(v, np.linalg.norm(v, axis=1))
 
 
 def strip_diagonal(m: np.ndarray) -> np.ndarray:

@@ -133,11 +133,6 @@ def load_config(path: str | Path, out_dir: Optional[Path] = None) -> ExperimentC
     return config_from_dict(raw, out_dir=out_dir)
 
 
-def default_config(**overrides) -> ExperimentConfig:
-    """Desk-scale default setup; keyword overrides replace dataclass fields."""
-    return ExperimentConfig(**overrides)
-
-
 # ---------------------------------------------------------------------------
 # Single experiment
 # ---------------------------------------------------------------------------
@@ -250,15 +245,7 @@ def _train_epoch(
             v1, v2 = synthetic.augment_views(x, config.synthetic.augment_sigma, rng_augment)
             stacked = np.vstack([v1, v2])
             z, cache = enc.encode(params, stacked)
-            batch = EmbeddingBatch(
-                view_a=z[: len(idx)],
-                view_b=z[len(idx) :],
-                sample_ids=[train_set.sample_ids[i] for i in idx],
-                labels=train_set.labels[idx],
-            )
-            bundle = loss_mod.grad_wrt_embeddings(batch, config.profile, config.loss_mode)
-            if not np.isfinite(bundle.loss):
-                raise NumericError(f"loss became non-finite ({bundle.loss})")
+            bundle = loss_mod.grad_wrt_embeddings(z, config.profile, config.loss_mode)
             grads = enc.backward(params, cache, bundle.dL_dz)
             enc.sgd_step(params, grads, state)
         except NumericError as err:

@@ -10,13 +10,15 @@ training. Both modes share the forward value.
 The loss is the mean (not sum) over the 2N anchor rows of the cross-entropy
 against the positive column, so learning rates are batch-size independent.
 
-Training, eval and finite-difference checks share one function. It walks
-row chunks of the NxN products a.b^T and a packed within-view matrix (a.a^T
-above the diagonal, b.b^T below it), so the profile sees each unordered pair
-once and no 2Nx2N matrix is formed. Every logit s / tau is shifted by the
-fixed constant 1/tau_min, which bounds its magnitude, so one exp per pair
-serves both of the pair's anchor rows and no running maximum is kept. The
-2Nx(2N-1) `LogitsBlock` path (`forward_from_block`, `grad_wrt_similarity`,
+Training and finite-difference checks hand the loss the 2N x D stack that
+`encoder.encode` returns, view a first; eval hands it a checked
+`EmbeddingBatch`. Both go to one function. It walks row chunks of the NxN
+products a.b^T and a packed within-view matrix (a.a^T above the diagonal,
+b.b^T below it), so the profile sees each unordered pair once and no 2Nx2N
+matrix is formed. Every logit s / tau is shifted by the fixed constant
+1/tau_min, which bounds its magnitude, so one exp per pair serves both of the
+pair's anchor rows and no running maximum is kept. The 2Nx(2N-1)
+`LogitsBlock` path (`forward_from_block`, `grad_wrt_similarity`,
 `chain_to_embeddings`) is the diagnostic layout and the reference the
 function is tested against.
 """
@@ -47,7 +49,18 @@ class GradientBundle:
     dL_dz: np.ndarray  # 2N x D displacement vectors (view-a rows first)
 
 
-def _fold_chunk(rows, view_a, view_b, profile, temperatures, shift, sums, positive, mode=None):
+def _similarity_tiles(rows, view_a, view_b, upper):
+    """Clamped a.b^T and packed (a.a^T where `upper`, else b.b^T) tiles of `rows`, and b.b^T."""
+    cross = view_a[rows] @ view_b.T
+    packed = view_a[rows] @ view_a.T
+    within_b = view_b[rows] @ view_b.T
+    np.copyto(packed, within_b, where=~upper)
+    np.clip(cross, -1.0, 1.0, out=cross)
+    np.clip(packed, -1.0, 1.0, out=packed)
+    return cross, packed, within_b
+
+
+def _fold_chunk(rows, view_a, view_b, profile, frozen_at, shift, sums, positive, mode=None):
     """Add anchor rows `rows` of both NxN pair matrices into the per-row sums.
 
     `sums` holds, per anchor row of view a and then of view b, the sum of
@@ -62,14 +75,11 @@ def _fold_chunk(rows, view_a, view_b, profile, temperatures, shift, sums, positi
     upper = columns > anchors
     # four tiles at most: each product is clamped, scaled and exponentiated in
     # place, and without a `mode` each 1/tau tile is freed before the next tau
-    cross = view_a[rows] @ view_b.T
-    packed = view_a[rows] @ view_a.T
-    e_b = view_b[rows] @ view_b.T  # b.b^T until the exps are in
-    np.copyto(packed, e_b, where=~upper)
+    cross, packed, e_b = _similarity_tiles(rows, view_a, view_b, upper)
+    tau_at = (cross, packed) if frozen_at is None else _similarity_tiles(rows, *frozen_at, upper)
     factors = []
     for which, s in enumerate((cross, packed)):
-        np.clip(s, -1.0, 1.0, out=s)
-        inv_tau = profile.tau(s) if temperatures is None else temperatures[which][rows].copy()
+        inv_tau = profile.tau(tau_at[which])
         np.divide(1.0, inv_tau, out=inv_tau)
         if which == 0:
             positive[rows] = np.diagonal(s[:, rows]) * np.diagonal(inv_tau[:, rows])
@@ -98,7 +108,7 @@ def _infonce(
     view_b: np.ndarray,
     profile: TemperatureProfile,
     mode: LossMode | None = None,
-    temperatures: tuple[np.ndarray, np.ndarray] | None = None,
+    frozen_at: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> GradientBundle | float:
     """Loss, and with a `mode` its gradient dL/dz, of one two-view batch.
 
@@ -106,8 +116,8 @@ def _infonce(
     exp lies in [exp(-2/tau_min), 1], a normal double for any valid profile,
     and serves both anchor rows of its pair. The loss walks row chunks; with
     a `mode` the batch is one chunk, and dL/dz is chained from its NxN
-    blocks. `temperatures` replaces the profile by fixed (cross, packed)
-    values.
+    blocks. With `frozen_at`, two views of the same shape, every pair's tau
+    is taken at its similarity there.
     """
     n = view_a.shape[0]
     if n < 2:
@@ -117,7 +127,7 @@ def _infonce(
     shift = 1.0 / profile.tau_min
     sums = np.zeros((2, n))
     positive = np.empty(n)
-    args = view_a, view_b, profile, temperatures, shift, sums, positive
+    args = view_a, view_b, profile, frozen_at, shift, sums, positive
     if mode is None:
         for start, stop in row_chunks(n, n):
             _fold_chunk(slice(start, stop), *args)
@@ -202,50 +212,43 @@ def chain_to_embeddings(batch: EmbeddingBatch, dL_ds: np.ndarray) -> np.ndarray:
     return np.vstack([dz_a, dz_b])
 
 
+def _split_views(z) -> tuple[np.ndarray, np.ndarray]:
+    """Views a and b of a 2N x D stack, view a first."""
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[0] % 2 != 0:
+        raise ValidationError(f"z must stack the two views as a 2N x D matrix, got shape {z.shape}")
+    n = z.shape[0] // 2
+    return z[:n], z[n:]
+
+
 def grad_wrt_embeddings(
-    batch: EmbeddingBatch,
+    z: np.ndarray,
     profile: TemperatureProfile,
     mode: LossMode = LossMode.DETACHED,
 ) -> GradientBundle:
-    """Loss and dL/dz of one batch.
+    """Loss and dL/dz of one batch, given as its 2N x D stack (view a first).
 
     The embeddings are treated as free points of the similarity map
     s_ij = z_i . z_j; the normalization Jacobian belongs to the encoder.
+    Rows are not checked for unit norm: `encoder.encode` made them so.
     """
-    return _infonce(batch.view_a, batch.view_b, profile, mode)
+    return _infonce(*_split_views(z), profile, mode)
 
 
 def loss_on_embeddings(
     z: np.ndarray,
     profile: TemperatureProfile,
-    frozen_temperatures: np.ndarray | None = None,
+    frozen_at: np.ndarray | None = None,
 ) -> float:
-    """Loss as a scalar field over a flat stack of 2N embedding rows.
+    """Loss as a scalar field over a 2N x D stack of embeddings (view a first).
 
     Intended for finite-difference checks, so rows need not be unit norm.
-    With `frozen_temperatures` (2Nx(2N-1), as `LogitsBlock.temperatures`)
-    the entry-wise temperatures are held fixed (differentiating this field
-    reproduces the DETACHED gradient); without, temperatures are recomputed
-    from the perturbed similarities (COUPLED). Frozen values are read once
-    per unordered pair: rows 0..N-1 for cross-view pairs and for view a,
-    rows N..2N-1 for view b.
+    With `frozen_at`, a stack of the same shape, every pair's temperature
+    is held at its value at `frozen_at` (differentiating this field
+    reproduces the DETACHED gradient there); without, temperatures are
+    recomputed from the perturbed similarities (COUPLED).
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[0] % 2 != 0:
-        raise ValidationError("z must stack the two views as a 2N x D matrix")
-    n = z.shape[0] // 2
-    temperatures = None
-    if frozen_temperatures is not None:
-        frozen = np.asarray(frozen_temperatures, dtype=np.float64)
-        if frozen.shape != (2 * n, 2 * n - 1):
-            raise ValidationError(
-                f"frozen temperatures must be {2 * n}x{2 * n - 1}, got {frozen.shape}"
-            )
-        # one value per unordered pair: a's upper and b's lower within-view
-        # triangle, packed as `_infonce` packs them; the unused diagonal gets
-        # 1.0 only to keep 1/tau finite
-        upper = ~np.tri(n, dtype=bool)
-        within = np.where(upper, _scatter_offdiag(frozen[:n, n:]), _scatter_offdiag(frozen[n:, n:]))
-        np.fill_diagonal(within, 1.0)
-        temperatures = frozen[:n, :n], within
-    return _infonce(z[:n], z[n:], profile, temperatures=temperatures)
+    if frozen_at is not None and np.shape(frozen_at) != np.shape(z):
+        raise ValidationError(f"frozen_at must have z's shape {np.shape(z)}, got {np.shape(frozen_at)}")
+    frozen_views = None if frozen_at is None else _split_views(frozen_at)
+    return _infonce(*_split_views(z), profile, frozen_at=frozen_views)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, check_int
-from .geometry import l2_normalize
+from .geometry import l2_normalize, unit_rows
 from .numeric import Rng
 
 
@@ -126,20 +126,25 @@ def holdout_split(dataset: Dataset, fraction: float = 0.2) -> tuple[Dataset, Dat
 def augment_views(inputs: np.ndarray, sigma_a: float, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
     """Two independent noisy views of each input row, renormalized to the sphere.
 
-    Draws per-view noise blocks in a fixed order so the stream is stable.
+    Draws per-view noise blocks in a fixed order so the stream is stable:
+    view 1's noise, view 2's, then the rows of view 1 and of view 2 whose
+    noisy norm fell to 1e-12 or below are drawn again.
     """
     if sigma_a == 0.0:
         base = l2_normalize(inputs)
         return base, base.copy()
     v1 = inputs + sigma_a * rng.normal(inputs.shape)
     v2 = inputs + sigma_a * rng.normal(inputs.shape)
-    norms1 = np.linalg.norm(v1, axis=1)
-    norms2 = np.linalg.norm(v2, axis=1)
-    for bad in np.flatnonzero(norms1 <= 1e-12):
-        v1[bad] = inputs[bad] + sigma_a * rng.normal(inputs.shape[1])
-    for bad in np.flatnonzero(norms2 <= 1e-12):
-        v2[bad] = inputs[bad] + sigma_a * rng.normal(inputs.shape[1])
-    return l2_normalize(v1), l2_normalize(v2)
+    views = []
+    for v in (v1, v2):
+        norms = np.linalg.norm(v, axis=1)
+        redrawn = np.flatnonzero(norms <= 1e-12)
+        for bad in redrawn:
+            v[bad] = inputs[bad] + sigma_a * rng.normal(inputs.shape[1])
+        if redrawn.size:  # rare: all norms again, as `l2_normalize` takes them
+            norms = np.linalg.norm(v, axis=1)
+        views.append(unit_rows(v, norms))
+    return tuple(views)
 
 
 def make_batches(dataset: Dataset, batch_size: int, rng: Rng) -> list[np.ndarray]:

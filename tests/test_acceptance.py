@@ -31,7 +31,7 @@ from conftest import random_batch, reference_grad_dz, reference_ntxent
 from dystress import encoder as enc
 from dystress import harness, synthetic
 from dystress.cli import EXIT_OK, main
-from dystress.geometry import EmbeddingBatch, build_logits_block, l2_normalize
+from dystress.geometry import EmbeddingBatch, l2_normalize
 from dystress.loss import LossMode, grad_wrt_embeddings, loss_on_embeddings
 from dystress.metrics import (
     alignment,
@@ -76,7 +76,7 @@ def benefit_runs(tmp_path_factory):
     root = tmp_path_factory.mktemp("benefit")
     configs = [
         dataclasses.replace(
-            harness.default_config(seed=seed), profile=profile, out_dir=root / f"{name}_{seed}"
+            harness.ExperimentConfig(seed=seed), profile=profile, out_dir=root / f"{name}_{seed}"
         )
         for seed in range(5)
         for name, profile in (("cosine", COSINE_BEST), ("constant", TemperatureProfile.constant(0.1)))
@@ -200,15 +200,14 @@ def test_c04_gradient_fidelity():
         batch = random_batch(rng, n, d)
         z = batch.stacked()
 
-        bundle = grad_wrt_embeddings(batch, COSINE_BEST, LossMode.DETACHED)
-        frozen = build_logits_block(batch, COSINE_BEST).temperatures
+        bundle = grad_wrt_embeddings(z, COSINE_BEST, LossMode.DETACHED)
         fd = finite_difference_grad(
-            lambda flat: loss_on_embeddings(flat.reshape(z.shape), COSINE_BEST, frozen),
+            lambda flat: loss_on_embeddings(flat.reshape(z.shape), COSINE_BEST, frozen_at=z),
             z.ravel(),
         ).reshape(z.shape)
         worst["detached"] = max(worst["detached"], max_relative_error(bundle.dL_dz, fd))
 
-        bundle_c = grad_wrt_embeddings(batch, COSINE_BEST, LossMode.COUPLED)
+        bundle_c = grad_wrt_embeddings(z, COSINE_BEST, LossMode.COUPLED)
         fd_c = finite_difference_grad(
             lambda flat: loss_on_embeddings(flat.reshape(z.shape), COSINE_BEST),
             z.ravel(),
@@ -220,15 +219,13 @@ def test_c04_gradient_fidelity():
         params = enc.init_params(spec, rng.substream("e2e", index=trial))
         x = rng.normal((8, 3))
         zed, cache = enc.encode(params, x)
-        batch = EmbeddingBatch(zed[:4], zed[4:], [f"s{i}" for i in range(4)])
-        bundle = grad_wrt_embeddings(batch, COSINE_BEST, LossMode.DETACHED)
+        bundle = grad_wrt_embeddings(zed, COSINE_BEST, LossMode.DETACHED)
         grads = enc.backward(params, cache, bundle.dL_dz)
-        frozen = build_logits_block(batch, COSINE_BEST).temperatures
 
         def f(vec):
             candidate = enc.vector_to_params(spec, vec)
             zz, _ = enc.encode(candidate, x)
-            return loss_on_embeddings(zz, COSINE_BEST, frozen)
+            return loss_on_embeddings(zz, COSINE_BEST, frozen_at=zed)
 
         fd = finite_difference_grad(f, enc.params_to_vector(params))
         worst["end_to_end"] = max(
@@ -256,7 +253,7 @@ def test_c05_ntxent_equivalence():
         n = 2 + trial % 7
         d = 4 + trial % 13
         batch = random_batch(rng, n, d)
-        bundle = grad_wrt_embeddings(batch, constant)
+        bundle = grad_wrt_embeddings(batch.stacked(), constant)
         ref_loss = reference_ntxent(batch.view_a, batch.view_b, tau)
         ref_grad = reference_grad_dz(batch.view_a, batch.view_b, tau)
         worst_loss = max(worst_loss, abs(bundle.loss - ref_loss))

@@ -1,11 +1,12 @@
 """Encoder forward/backward, optimizer, and checkpoint tests."""
 
+import json
+
 import numpy as np
 import pytest
 
 from dystress import encoder as enc
 from dystress.errors import DegenerateInputError, NumericError, ValidationError
-from dystress.geometry import EmbeddingBatch, build_logits_block
 from dystress.loss import LossMode, grad_wrt_embeddings, loss_on_embeddings
 from dystress.numeric import Rng, finite_difference_grad, max_relative_error
 from dystress.temperature import TemperatureProfile
@@ -29,15 +30,14 @@ def full_chain_check(spec, rng, mode=LossMode.DETACHED, n=4):
         else:
             raise AssertionError("could not find a kink-free input")
     z, cache = enc.encode(params, x)
-    batch = EmbeddingBatch(z[:n], z[n:], [f"s{i}" for i in range(n)])
-    bundle = grad_wrt_embeddings(batch, COSINE, mode)
+    bundle = grad_wrt_embeddings(z, COSINE, mode)
     grads = enc.backward(params, cache, bundle.dL_dz)
-    frozen = build_logits_block(batch, COSINE).temperatures if mode is LossMode.DETACHED else None
+    frozen_at = z if mode is LossMode.DETACHED else None
 
     def f(vec):
         candidate = enc.vector_to_params(spec, vec)
         zz, _ = enc.encode(candidate, x)
-        return loss_on_embeddings(zz, COSINE, frozen)
+        return loss_on_embeddings(zz, COSINE, frozen_at)
 
     fd = finite_difference_grad(f, enc.params_to_vector(params))
     return max_relative_error(enc.grads_to_vector(grads), fd)
@@ -77,6 +77,16 @@ class TestEncode:
         params = enc.init_params(spec, Rng(0))
         with pytest.raises(ValidationError):
             enc.encode(params, np.ones((2, 5)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("nonlinearity", ["tanh", "relu"])
+    @pytest.mark.parametrize("which", ["weights", "biases"])
+    def test_nonfinite_parameter_written_in_place_names_layer(self, value, nonlinearity, which):
+        # as sgd_step writes: after construction, so only encode can see it
+        params = enc.init_params(enc.EncoderSpec((3, 5, 4), nonlinearity), Rng(0))
+        getattr(params, which)[1][2] = value
+        with pytest.raises(NumericError, match="layer 1"):
+            enc.encode(params, Rng(1).normal((6, 3)))
 
 
 class TestBackward:
@@ -173,8 +183,7 @@ class TestDeterminism:
             for _ in range(100):
                 x = data_rng.normal((8, 4))
                 z, cache = enc.encode(params, x)
-                batch = EmbeddingBatch(z[:4], z[4:], list("abcd"))
-                bundle = grad_wrt_embeddings(batch, COSINE)
+                bundle = grad_wrt_embeddings(z, COSINE)
                 grads = enc.backward(params, cache, bundle.dL_dz)
                 enc.sgd_step(params, grads, state)
             return params
@@ -203,6 +212,34 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"magic": "nope"}')
         with pytest.raises(ValidationError):
+            enc.load_checkpoint(path)
+
+
+class TestParamsValidation:
+    def test_wrong_shapes_rejected(self):
+        spec = enc.EncoderSpec((3, 4), "tanh")
+        with pytest.raises(ValidationError, match="layer 0"):
+            enc.EncoderParams(spec, [np.zeros((3, 4))], [np.zeros(4)])
+        with pytest.raises(ValidationError, match="layer 0"):
+            enc.EncoderParams(spec, [np.zeros((4, 3))], [np.zeros(3)])
+        with pytest.raises(ValidationError, match="count"):
+            enc.EncoderParams(spec, [np.zeros((4, 3))] * 2, [np.zeros(4)] * 2)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["weights", "biases"])
+    def test_nonfinite_values_rejected(self, value, which):
+        params = enc.init_params(enc.EncoderSpec((3, 5, 4), "tanh"), Rng(0))
+        getattr(params, which)[1][0] = value
+        with pytest.raises(NumericError, match="layer 1"):
+            enc.EncoderParams(params.spec, params.weights, params.biases)
+
+    def test_checkpoint_with_nan_weight_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(path, enc.init_params(enc.EncoderSpec((3, 5, 4), "tanh"), Rng(0)))
+        payload = json.loads(path.read_text())
+        payload["weights"][1][7] = float("nan")
+        path.write_text(json.dumps(payload))  # Python's json writes and reads NaN
+        with pytest.raises(NumericError, match="layer 1"):
             enc.load_checkpoint(path)
 
 

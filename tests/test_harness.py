@@ -15,7 +15,6 @@ from dystress.harness import (
     ExperimentConfig,
     SweepSpec,
     config_from_dict,
-    default_config,
     metrics_from_dump,
     run_experiment,
     run_sweep,
@@ -110,7 +109,7 @@ class TestConfigParsing:
         assert config.loss_mode is LossMode.DETACHED
 
     def test_defaults_are_the_dataclass_defaults(self):
-        assert config_from_dict({"config_version": 1}) == ExperimentConfig() == default_config()
+        assert config_from_dict({"config_version": 1}) == ExperimentConfig()
 
     def test_default_config_json_golden(self):
         assert json.dumps(ExperimentConfig().to_dict(), indent=2) == DEFAULT_CONFIG_JSON
@@ -202,6 +201,20 @@ class TestRunExperiment:
         result = run_experiment(config_from_dict(raw))
         for report in result.reports:
             assert abs(report.alignment) < 1e-12
+
+    def test_embedding_batch_built_once_per_eval(self, monkeypatch):
+        # training hands the loss encode's 2N x D stack; only an eval builds the checked type
+        built = []
+        post_init = harness.EmbeddingBatch.__post_init__
+
+        def counted(self):
+            built.append(self.n)
+            post_init(self)
+
+        monkeypatch.setattr(harness.EmbeddingBatch, "__post_init__", counted)
+        result = run_experiment(tiny_config(), overlap_evals=False)
+        assert [r.epoch for r in result.reports] == [0, 2, 4]
+        assert built == [30, 30, 30]
 
     def test_loss_finite_throughout(self):
         result = run_experiment(tiny_config())

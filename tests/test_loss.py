@@ -46,11 +46,8 @@ ALL_VARIANTS = [
 def fd_dz(batch, profile, mode):
     """Finite-difference oracle for dL/dz in either mode."""
     z = batch.stacked()
-    if mode is LossMode.DETACHED:
-        frozen = build_logits_block(batch, profile).temperatures
-        f = lambda flat: loss_on_embeddings(flat.reshape(z.shape), profile, frozen)
-    else:
-        f = lambda flat: loss_on_embeddings(flat.reshape(z.shape), profile)
+    frozen_at = z if mode is LossMode.DETACHED else None
+    f = lambda flat: loss_on_embeddings(flat.reshape(z.shape), profile, frozen_at)
     return finite_difference_grad(f, z.ravel()).reshape(z.shape)
 
 
@@ -130,7 +127,7 @@ class TestGradWrtSimilarity:
 
     def test_coupled_matches_finite_differences_of_scaled_chain(self, rng):
         batch = random_batch(rng, 4, 5)
-        bundle = grad_wrt_embeddings(batch, COSINE, LossMode.COUPLED)
+        bundle = grad_wrt_embeddings(batch.stacked(), COSINE, LossMode.COUPLED)
         fd = fd_dz(batch, COSINE, LossMode.COUPLED)
         assert max_relative_error(bundle.dL_dz, fd) < 1e-4
 
@@ -142,7 +139,7 @@ class TestGradWrtEmbeddings:
             n = 2 + int(rng.uniform() * 6)
             d = 3 + int(rng.uniform() * 13)
             batch = random_batch(rng, n, d)
-            bundle = grad_wrt_embeddings(batch, COSINE, mode)
+            bundle = grad_wrt_embeddings(batch.stacked(), COSINE, mode)
             fd = fd_dz(batch, COSINE, mode)
             assert max_relative_error(bundle.dL_dz, fd) < 1e-4
 
@@ -152,7 +149,7 @@ class TestGradWrtEmbeddings:
         # negative, accumulated for both orderings of every pair
         for _ in range(5):
             batch = random_batch(rng, 4, 3)
-            bundle = grad_wrt_embeddings(batch, COSINE, LossMode.DETACHED)
+            bundle = grad_wrt_embeddings(batch.stacked(), COSINE, LossMode.DETACHED)
             ref = reference_grad_dz(batch.view_a, batch.view_b, COSINE)
             assert np.allclose(bundle.dL_dz, ref, atol=1e-12)
 
@@ -160,7 +157,7 @@ class TestGradWrtEmbeddings:
         n = 4
         v = np.eye(n)
         batch = EmbeddingBatch(v, v.copy(), [f"s{i}" for i in range(n)])
-        bundle = grad_wrt_embeddings(batch, TemperatureProfile.constant(0.2))
+        bundle = grad_wrt_embeddings(batch.stacked(), TemperatureProfile.constant(0.2))
         g0 = bundle.dL_dz[0]
         others = [float(g0 @ v[j]) for j in range(1, n)]
         assert np.allclose(others, others[0], atol=1e-12)
@@ -169,16 +166,16 @@ class TestGradWrtEmbeddings:
     def test_constant_profile_modes_bit_identical(self, rng):
         batch = random_batch(rng, 5, 8)
         const = TemperatureProfile.constant(0.15)
-        a = grad_wrt_embeddings(batch, const, LossMode.DETACHED)
-        b = grad_wrt_embeddings(batch, const, LossMode.COUPLED)
+        a = grad_wrt_embeddings(batch.stacked(), const, LossMode.DETACHED)
+        b = grad_wrt_embeddings(batch.stacked(), const, LossMode.COUPLED)
         assert np.array_equal(a.dL_dz, b.dL_dz)
         assert a.loss == b.loss
 
     def test_permutation_equivariance(self, rng):
         batch = random_batch(rng, 6, 4)
         perm = rng.permutation(6)
-        bundle = grad_wrt_embeddings(batch, COSINE)
-        bundle_p = grad_wrt_embeddings(batch.permuted(perm), COSINE)
+        bundle = grad_wrt_embeddings(batch.stacked(), COSINE)
+        bundle_p = grad_wrt_embeddings(batch.permuted(perm).stacked(), COSINE)
         grads = bundle.dL_dz
         grads_p = bundle_p.dL_dz
         assert np.allclose(grads_p[:6], grads[:6][perm], atol=1e-12)
@@ -187,7 +184,7 @@ class TestGradWrtEmbeddings:
     def test_descent_step_decreases_loss(self, rng):
         for _ in range(10):
             batch = random_batch(rng, 6, 8)
-            bundle = grad_wrt_embeddings(batch, COSINE)
+            bundle = grad_wrt_embeddings(batch.stacked(), COSINE)
             z = batch.stacked() - 1e-3 * bundle.dL_dz
             stepped = EmbeddingBatch(
                 l2_normalize(z[:6]), l2_normalize(z[6:]), batch.sample_ids
@@ -216,7 +213,7 @@ class TestGramKernel:
             ref_dz = chain_to_embeddings(batch, grad_wrt_similarity(block, mode))
 
             seen.clear()
-            bundle = grad_wrt_embeddings(batch, profile, mode)
+            bundle = grad_wrt_embeddings(batch.stacked(), profile, mode)
             assert sum(seen) <= 2 * n * n, f"N={n}: tau saw {sum(seen)} entries"
             seen.clear()
             loss = forward(batch, profile)
@@ -253,22 +250,21 @@ class TestGramKernel:
             block = build_logits_block(batch, profile)
             ref_loss = forward_from_block(block)
             ref_dz = chain_to_embeddings(batch, grad_wrt_similarity(block, mode))
-            bundle = grad_wrt_embeddings(batch, profile, mode)
+            bundle = grad_wrt_embeddings(batch.stacked(), profile, mode)
             assert close(bundle.loss, ref_loss), f"N={batch.n}"
             assert close(forward(batch, profile), ref_loss), f"N={batch.n}"
             assert close(bundle.dL_dz, ref_dz), f"N={batch.n}"
 
     def test_frozen_temperatures_match_profile(self, rng):
-        batch = random_batch(rng, 7, 5)
-        frozen = build_logits_block(batch, COSINE).temperatures
-        z = batch.stacked()
+        z = random_batch(rng, 7, 5).stacked()
         value = loss_on_embeddings(z, COSINE)
-        assert abs(loss_on_embeddings(z, COSINE, frozen) - value) <= 1e-14 * abs(value)
+        assert abs(loss_on_embeddings(z, COSINE, frozen_at=z) - value) <= 1e-14 * abs(value)
 
     def test_frozen_temperatures_shape_checked(self, rng):
-        batch = random_batch(rng, 4, 5)
-        with pytest.raises(ValidationError, match="frozen temperatures"):
-            loss_on_embeddings(batch.stacked(), COSINE, np.full((8, 8), 0.1))
+        z = random_batch(rng, 4, 5).stacked()
+        for shape in ((8, 8), (6, 5), (8, 5, 1)):
+            with pytest.raises(ValidationError, match="frozen_at"):
+                loss_on_embeddings(z, COSINE, frozen_at=np.full(shape, 0.1))
 
     @pytest.mark.parametrize("mode", [LossMode.DETACHED, LossMode.COUPLED])
     def test_bit_stable_across_memory_offsets(self, rng, mode):
@@ -276,13 +272,12 @@ class TestGramKernel:
         # reduction recurses; its order must not depend on the address
         n, d = 100, 16
         z = l2_normalize(rng.normal((2 * n, d)))
-        ids = [f"s{i}" for i in range(n)]
-        base = grad_wrt_embeddings(EmbeddingBatch(z[:n], z[n:], ids), COSINE, mode)
+        base = grad_wrt_embeddings(z, COSINE, mode)
         for offset in (1, 2, 3):
             buf = np.zeros(z.size + offset)
             shifted = buf[offset:].reshape(z.shape)
             shifted[...] = z
-            bundle = grad_wrt_embeddings(EmbeddingBatch(shifted[:n], shifted[n:], ids), COSINE, mode)
+            bundle = grad_wrt_embeddings(shifted, COSINE, mode)
             assert bundle.loss == base.loss
             assert np.array_equal(bundle.dL_dz, base.dL_dz)
             assert loss_on_embeddings(shifted, COSINE) == base.loss
@@ -305,7 +300,7 @@ class TestNtXentEquivalence:
         for _ in range(10):
             batch = random_batch(rng, 6, 8)
             const = TemperatureProfile.constant(0.1)
-            ours = grad_wrt_embeddings(batch, const)
+            ours = grad_wrt_embeddings(batch.stacked(), const)
             assert abs(ours.loss - reference_ntxent(batch.view_a, batch.view_b, 0.1)) < 1e-10
             ref_dz = reference_grad_dz(batch.view_a, batch.view_b, const)
             assert np.max(np.abs(ours.dL_dz - ref_dz)) < 1e-10
@@ -316,6 +311,8 @@ class TestLossOnEmbeddings:
         batch = random_batch(rng, 4, 5)
         assert abs(loss_on_embeddings(batch.stacked(), COSINE) - forward(batch, COSINE)) < 1e-12
 
-    def test_rejects_odd_stack(self):
-        with pytest.raises(ValidationError):
-            loss_on_embeddings(np.zeros((3, 4)), COSINE)
+    @pytest.mark.parametrize("entry", [loss_on_embeddings, grad_wrt_embeddings], ids=lambda f: f.__name__)
+    def test_rejects_odd_stack(self, entry):
+        for z in (np.zeros((3, 4)), np.zeros(4)):
+            with pytest.raises(ValidationError, match="2N x D"):
+                entry(z, COSINE)

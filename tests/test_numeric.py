@@ -133,7 +133,7 @@ class TestRetainFreedMemory:
         if not retain_freed_memory():
             pytest.skip("no glibc mallopt in this process")
         # 2560 samples: an epoch is 20 steps of the default batch of 128
-        config = harness.default_config(synthetic=synthetic.SyntheticSpec(samples_per_class=256))
+        config = harness.ExperimentConfig(synthetic=synthetic.SyntheticSpec(samples_per_class=256))
         train_set = synthetic.generate(config.synthetic, config.seed)
         rng = Rng(config.seed)
         params = enc.init_params(config.encoder, rng.substream("init"))

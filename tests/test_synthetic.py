@@ -108,6 +108,44 @@ class TestAugment:
         assert np.max(np.abs(np.linalg.norm(v2, axis=1) - 1.0)) < 1e-9
 
 
+class _CancellingRng:
+    """Rng stand-in whose noise blocks cancel one input row in each view.
+
+    Records the shape of every draw; the redraws are plain Gaussian rows.
+    """
+
+    def __init__(self, inputs, sigma, rows):
+        self.inputs, self.sigma, self.rows = inputs, sigma, list(rows)
+        self.draws = []
+        self.source = Rng(8)
+
+    def normal(self, shape):
+        noise = self.source.normal(shape)
+        self.draws.append(noise)
+        if np.ndim(noise) == 2:
+            row = self.rows.pop(0)
+            noise[row] = -self.inputs[row] / self.sigma
+        return noise
+
+
+class TestAugmentRedraw:
+    def test_cancelled_rows_are_redrawn_in_order(self):
+        sigma = 0.5
+        inputs = l2_normalize(Rng(9).normal((6, 4)))
+        rng = _CancellingRng(inputs, sigma, rows=[1, 4])
+        v1, v2 = augment_views(inputs, sigma, rng)
+        # view 1's block, view 2's block, then view 1's redraw and view 2's
+        assert [np.shape(d) for d in rng.draws] == [(6, 4), (6, 4), (4,), (4,)]
+        noisy1 = inputs + sigma * rng.draws[0]
+        noisy2 = inputs + sigma * rng.draws[1]
+        assert np.linalg.norm(noisy1[1]) <= 1e-12 and np.linalg.norm(noisy2[4]) <= 1e-12
+        noisy1[1] = inputs[1] + sigma * rng.draws[2]
+        noisy2[4] = inputs[4] + sigma * rng.draws[3]
+        # bit for bit what l2_normalize gives the redrawn views
+        assert np.array_equal(v1, l2_normalize(noisy1))
+        assert np.array_equal(v2, l2_normalize(noisy2))
+
+
 class TestMakeBatches:
     def _dataset(self, n):
         pts = l2_normalize(Rng(0).normal((n, 4)))
