@@ -265,10 +265,10 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     if payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValidationError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
     spec = EncoderSpec(**payload["spec"])
-    widths = spec.layer_widths
-    weights = [
-        np.array(w, dtype=np.float64).reshape(widths[l + 1], widths[l])
-        for l, w in enumerate(payload["weights"])
-    ]
+    shapes = list(zip(spec.layer_widths[1:], spec.layer_widths[:-1]))
+    flat = [np.array(w, dtype=np.float64) for w in payload["weights"]]
+    if len(flat) != len(shapes) or any(w.size != rows * cols for w, (rows, cols) in zip(flat, shapes)):
+        raise ValidationError(f"checkpoint weights do not match layer widths {spec.layer_widths}")
+    weights = [w.reshape(shape) for w, shape in zip(flat, shapes)]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
     return EncoderParams(spec=spec, weights=weights, biases=biases)

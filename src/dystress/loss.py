@@ -213,10 +213,12 @@ def chain_to_embeddings(batch: EmbeddingBatch, dL_ds: np.ndarray) -> np.ndarray:
 
 
 def _split_views(z) -> tuple[np.ndarray, np.ndarray]:
-    """Views a and b of a 2N x D stack, view a first."""
+    """Views a and b of a 2N x D stack, view a first; NumericError if any entry is not finite."""
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] % 2 != 0:
         raise ValidationError(f"z must stack the two views as a 2N x D matrix, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise NumericError("z contains non-finite entries")
     n = z.shape[0] // 2
     return z[:n], z[n:]
 

@@ -15,9 +15,9 @@ Every metric that looks at pairs walks row chunks of its Gram matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -50,7 +50,6 @@ class Histogram:
 
     bin_edges: np.ndarray
     counts: dict[PairKind, np.ndarray]
-    annotations: dict[str, float] = field(default_factory=dict)
 
     def total(self, kind: PairKind) -> int:
         return int(self.counts[kind].sum())
@@ -92,12 +91,17 @@ def alignment(batch: EmbeddingBatch) -> float:
     return float(np.mean(np.einsum("ij,ij->i", diff, diff)))
 
 
-def interclass_uniformity(points: np.ndarray, labels: np.ndarray) -> float:
-    """Uniformity of the class centroids (plain means); lower is better."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
+def _aligned(points, labels) -> tuple[np.ndarray, np.ndarray]:
+    """`points` as float64 and `labels` as an array, one label per point."""
+    points, labels = np.asarray(points, dtype=np.float64), np.asarray(labels)
     if points.shape[0] != labels.shape[0]:
         raise ValidationError("points and labels must align")
+    return points, labels
+
+
+def interclass_uniformity(points: np.ndarray, labels: np.ndarray) -> float:
+    """Uniformity of the class centroids (plain means); lower is better."""
+    points, labels = _aligned(points, labels)
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValidationError("interclass uniformity needs at least 2 classes")
@@ -107,10 +111,7 @@ def interclass_uniformity(points: np.ndarray, labels: np.ndarray) -> float:
 
 def tolerance(points: np.ndarray, labels: np.ndarray) -> float:
     """Mean cosine similarity over same-label distinct unordered pairs."""
-    points = np.asarray(points, dtype=np.float64)
-    labels = np.asarray(labels)
-    if points.shape[0] != labels.shape[0]:
-        raise ValidationError("points and labels must align")
+    points, labels = _aligned(points, labels)
     total, count = 0.0, 0
     for rows, gram, upper in _upper_tiles(points):
         same = upper & (labels[rows, None] == labels[None, rows.start :])
@@ -141,10 +142,8 @@ def knn_probe(
     their class with weight exp(s / weight_temperature); vote ties go to the
     smaller class index.
     """
-    train_points = np.asarray(train_points, dtype=np.float64)
-    test_points = np.asarray(test_points, dtype=np.float64)
-    train_labels = np.asarray(train_labels, dtype=np.int64)
-    test_labels = np.asarray(test_labels, dtype=np.int64)
+    train_points, train_labels = _aligned(train_points, train_labels)
+    test_points, test_labels = _aligned(test_points, test_labels)
     if train_points.size == 0 or test_points.size == 0:
         raise ValidationError("knn probe needs non-empty train and test sets")
     if not (1 <= k <= train_points.shape[0]):
@@ -169,43 +168,32 @@ def knn_probe(
     return correct / test_points.shape[0]
 
 
-def pair_histograms(
-    batch: EmbeddingBatch,
-    bins: int = HISTOGRAM_BINS,
-    annotations: Optional[dict[str, float]] = None,
-) -> Histogram:
+def pair_histograms(batch: EmbeddingBatch) -> Histogram:
     """Binned TP/FN/TN similarity counts over all logits-block entries.
 
-    The counts come from row chunks of a.b^T, a.a^T and b.b^T; the block
-    itself is never built.
+    The block holds each unordered pair of the 2N stacked embeddings twice,
+    once in each member's row, so every upper-triangle Gram entry counts
+    twice; the block itself is never built.
     """
     if batch.labels is None:
         raise ValidationError("pair histograms require labels")
-    if bins < 1:
-        raise ValidationError("need at least one bin")
-    n, labels = batch.n, batch.labels
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    counts = {kind: np.zeros(bins, dtype=np.int64) for kind in PairKind}
-
-    def add(kind: PairKind, values: np.ndarray, times: int = 1) -> None:
-        counts[kind] += times * np.histogram(values, bins=edges)[0]
-
-    for start, stop in row_chunks(n, n):
-        same = labels[start:stop, None] == labels[None, :]
-        own = np.arange(n)[None, :] == np.arange(start, stop)[:, None]
-        other_same = same & ~own
-        cross = batch.view_a[start:stop] @ batch.view_b.T
-        np.clip(cross, -1.0, 1.0, out=cross)
-        # the block holds every cross-view entry twice: in a_i's row and in b_j's
-        add(PairKind.TRUE_POSITIVE, cross[own], 2)
-        add(PairKind.FALSE_NEGATIVE, cross[other_same], 2)
-        add(PairKind.TRUE_NEGATIVE, cross[~same], 2)
-        for view in (batch.view_a, batch.view_b):
-            within = view[start:stop] @ view.T
-            np.clip(within, -1.0, 1.0, out=within)
-            add(PairKind.FALSE_NEGATIVE, within[other_same])
-            add(PairKind.TRUE_NEGATIVE, within[~same])
-    return Histogram(bin_edges=edges, counts=counts, annotations=dict(annotations or {}))
+    n = batch.n
+    labels = np.concatenate([batch.labels, batch.labels])
+    edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
+    counts = {kind: np.zeros(HISTOGRAM_BINS, dtype=np.int64) for kind in PairKind}
+    for rows, gram, upper in _upper_tiles(batch.stacked()):
+        np.clip(gram, -1.0, 1.0, out=gram)
+        # the positive of row i < N is column N + i
+        positive = np.arange(rows.start, 2 * n)[None, :] == n + np.arange(rows.start, rows.stop)[:, None]
+        same = labels[rows, None] == labels[None, rows.start :]
+        masks = {
+            PairKind.TRUE_POSITIVE: positive,
+            PairKind.FALSE_NEGATIVE: upper & same & ~positive,
+            PairKind.TRUE_NEGATIVE: upper & ~same,
+        }
+        for kind, mask in masks.items():
+            counts[kind] += 2 * np.histogram(gram[mask], bins=edges)[0]
+    return Histogram(bin_edges=edges, counts=counts)
 
 
 METRICS_CSV_HEADER = "epoch,loss,uniformity,alignment,tolerance,interclass_uniformity,knn_top1"
@@ -222,10 +210,8 @@ def write_metrics_csv(path: str | Path, reports: Sequence[MetricsReport]) -> Non
 
 
 def write_histogram_csv(path: str | Path, hist: Histogram) -> None:
-    """CSV `bin_lo,bin_hi,tp,fn,tn`; annotations become leading comment lines."""
+    """CSV `bin_lo,bin_hi,tp,fn,tn`, one row per bin."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for key, value in sorted(hist.annotations.items()):
-            fh.write(f"# {key}={fmt(value)}\n")
         fh.write("bin_lo,bin_hi,tp,fn,tn\n")
         tp = hist.counts[PairKind.TRUE_POSITIVE]
         fn = hist.counts[PairKind.FALSE_NEGATIVE]

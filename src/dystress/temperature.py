@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError, from_section
+from .errors import DomainError, NumericError, ValidationError, check_int, from_section
 from .numeric import fmt
 
 DOMAIN_SLACK = 1e-9
@@ -440,7 +440,7 @@ def verify_proposition1(
     """Check sign(dtau/ds) == sign(s) over a (delta, K, c) grid of curves."""
     if len(delta_grid) == 0 or len(bigK_grid) == 0:
         raise ValidationError("delta and K grids must be non-empty")
-    grid = np.linspace(-1.0, 1.0, s_count)
+    grid = np.linspace(-1.0, 1.0, check_int("s_count", s_count, 0))
     report = Proposition1Report()
     for delta in delta_grid:
         for bigK in bigK_grid:

@@ -117,7 +117,6 @@ def test_benefit_runs_match_a_serial_run(benefit_runs):
                 assert got_histogram.counts.keys() == histogram.counts.keys(), where
                 for kind, counts in histogram.counts.items():
                     assert np.array_equal(got_histogram.counts[kind], counts), where
-                assert got_histogram.annotations == histogram.annotations, where
 
 
 def binned_mean(hist, kind) -> float:

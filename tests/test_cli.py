@@ -209,6 +209,13 @@ class TestOdeVerify:
         assert "positive and finite" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_negative_s_count_exit_1(self, tmp_path, capsys):
+        argv = ["ode-verify", "--delta", "1.0", "--bigk", "10.0", "--tau-max", "0.2", "--c-count", "2"]
+        assert main(argv + ["--s-count", "-1", "--out", str(tmp_path / "ode.csv")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: s_count must be an integer of at least 0, got -1"]
+        assert not (tmp_path / "ode.csv").exists()
+
     def test_insufficient_grid_exit_2(self, tmp_path, capsys):
         # a 2-point s grid cannot support central differences: every cell is
         # flagged insufficient and the verification cannot pass

@@ -214,6 +214,23 @@ class TestCheckpoint:
         with pytest.raises(ValidationError):
             enc.load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda payload: payload["weights"][1].pop(),  # one value short
+            lambda payload: (payload["weights"].append([0.0] * 16), payload["biases"].append([0.0] * 4)),
+        ],
+        ids=["weight-list-short", "extra-layer"],
+    )
+    def test_malformed_weights_rejected(self, tmp_path, edit):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(path, enc.init_params(enc.EncoderSpec((3, 5, 4), "tanh"), Rng(0)))
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="layer widths"):
+            enc.load_checkpoint(path)
+
 
 class TestParamsValidation:
     def test_wrong_shapes_rejected(self):

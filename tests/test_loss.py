@@ -316,3 +316,12 @@ class TestLossOnEmbeddings:
         for z in (np.zeros((3, 4)), np.zeros(4)):
             with pytest.raises(ValidationError, match="2N x D"):
                 entry(z, COSINE)
+
+    @pytest.mark.parametrize("entry", [loss_on_embeddings, grad_wrt_embeddings], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_stack(self, rng, entry, value):
+        # the clamp would turn an infinite similarity into +-1 and hide it
+        z = random_batch(rng, 2, 4).stacked()
+        z[1] = [value, 1.0, 1.0, 1.0]
+        with pytest.raises(NumericError, match="non-finite"):
+            entry(z, COSINE)

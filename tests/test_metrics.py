@@ -8,6 +8,7 @@ from conftest import random_batch
 from dystress.errors import ValidationError
 from dystress.geometry import EmbeddingBatch, PairKind, l2_normalize
 from dystress.metrics import (
+    HISTOGRAM_BINS,
     KNN_WEIGHT_TEMPERATURE_FLOOR,
     alignment,
     interclass_uniformity,
@@ -190,11 +191,28 @@ class TestRotationInvariance:
         assert acc == acc_r
 
 
+@pytest.mark.parametrize(
+    "metric",
+    [
+        tolerance,
+        interclass_uniformity,
+        lambda points, labels: knn_probe(points, labels, points, np.arange(6) % 2, k=1),
+        lambda points, labels: knn_probe(points, np.arange(6) % 2, points, labels, k=1),
+    ],
+    ids=["tolerance", "interclass_uniformity", "knn_train", "knn_test"],
+)
+@pytest.mark.parametrize("count", [5, 7])
+def test_labels_must_align_with_points(rng, metric, count):
+    points = l2_normalize(rng.normal((6, 3)))
+    with pytest.raises(ValidationError, match="must align"):
+        metric(points, np.arange(count) % 2)
+
+
 class TestPairHistograms:
     def test_identical_views_tp_mass_at_one(self, rng):
         z = l2_normalize(rng.normal((6, 5)))
         batch = EmbeddingBatch(z, z.copy(), [f"s{i}" for i in range(6)], labels=np.arange(6) % 2)
-        hist = pair_histograms(batch, bins=20)
+        hist = pair_histograms(batch)
         tp = hist.counts[PairKind.TRUE_POSITIVE]
         assert tp[-1] == 12  # all 2N positives in the bin ending at 1.0
         assert tp[:-1].sum() == 0
@@ -202,7 +220,7 @@ class TestPairHistograms:
     def test_totals_match_pair_counts(self, rng):
         n = 8
         batch = random_batch(rng, n, 5, labels=np.arange(n) % 2)
-        hist = pair_histograms(batch, bins=50)
+        hist = pair_histograms(batch)
         total = sum(hist.total(kind) for kind in PairKind)
         assert total == 2 * n * (2 * n - 1)
         assert hist.total(PairKind.TRUE_POSITIVE) == 2 * n
@@ -210,18 +228,17 @@ class TestPairHistograms:
     def test_permutation_invariant_counts(self, rng):
         n = 7
         batch = random_batch(rng, n, 4, labels=np.arange(n) % 3)
-        hist = pair_histograms(batch, bins=30)
+        hist = pair_histograms(batch)
         perm = rng.permutation(n)
-        hist_p = pair_histograms(batch.permuted(perm), bins=30)
+        hist_p = pair_histograms(batch.permuted(perm))
         for kind in PairKind:
             assert np.array_equal(hist.counts[kind], hist_p.counts[kind])
 
-    def test_csv_with_annotations(self, tmp_path, rng):
+    def test_csv_has_header_and_one_row_per_bin(self, tmp_path, rng):
         batch = random_batch(rng, 4, 4, labels=np.array([0, 0, 1, 1]))
-        hist = pair_histograms(batch, bins=10, annotations={"s_fn": 0.4})
         path = tmp_path / "hist.csv"
-        write_histogram_csv(path, hist)
-        text = path.read_text()
-        assert text.startswith("# s_fn=0.4\n")
-        assert "bin_lo,bin_hi,tp,fn,tn" in text
-        assert len(text.strip().splitlines()) == 12  # 1 comment + header + 10 bins
+        write_histogram_csv(path, pair_histograms(batch))
+        lines = path.read_text().splitlines()
+        assert lines[0] == "bin_lo,bin_hi,tp,fn,tn"
+        assert len(lines) == 1 + HISTOGRAM_BINS
+        assert lines[1].startswith("-1.0,") and lines[-1].split(",")[1] == "1.0"

@@ -201,6 +201,21 @@ def test_eval_memory_stays_linear_at_n_1500():
     assert peak < 11.1 * 2**20, f"eval peak {peak / 2**20:.1f} MiB"
 
 
+def test_histograms_hold_linear_memory_at_n_2000(rng):
+    n = 2000
+    batch = random_batch(rng, n, 16, labels=np.arange(n) % 10)
+    pair_histograms(batch)  # warm up any one-off allocation
+    tracemalloc.start()
+    try:
+        pair_histograms(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 6.5 MiB measured: one 65x4000 Gram tile, its largest masked copy and
+    # np.histogram's blocks
+    assert peak < 7.0 * 2**20, f"histogram peak {peak / 2**20:.2f} MiB"
+
+
 @pytest.mark.parametrize("profile", ALL_VARIANTS, ids=lambda p: p.variant)
 def test_loss_holds_four_tiles_per_chunk(monkeypatch, rng, profile):
     n, rows = 512, 64
