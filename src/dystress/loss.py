@@ -17,7 +17,10 @@ products a.b^T and a packed within-view matrix (a.a^T above the diagonal,
 b.b^T below it), so the profile sees each unordered pair once and no 2Nx2N
 matrix is formed. Every logit s / tau is shifted by the fixed constant
 1/tau_min, which bounds its magnitude, so one exp per pair serves both of the
-pair's anchor rows and no running maximum is kept. The 2Nx(2N-1)
+pair's anchor rows and no running maximum is kept. Without a gradient a chunk
+holds two tiles: the cross tile is exponentiated and reduced to its row and
+column sums first, then its memory takes the packed tile, and the packed
+tile's 1/tau takes e_b. The 2Nx(2N-1)
 `LogitsBlock` path (`forward_from_block`, `grad_wrt_similarity`,
 `chain_to_embeddings`) is the diagnostic layout and the reference the
 function is tested against.
@@ -49,15 +52,25 @@ class GradientBundle:
     dL_dz: np.ndarray  # 2N x D displacement vectors (view-a rows first)
 
 
-def _similarity_tiles(rows, view_a, view_b, upper):
-    """Clamped a.b^T and packed (a.a^T where `upper`, else b.b^T) tiles of `rows`, and b.b^T."""
-    cross = view_a[rows] @ view_b.T
-    packed = view_a[rows] @ view_a.T
+def _cross_tile(rows, view_a, view_b, out=None):
+    """Rows `rows` of a.b^T, clamped to [-1, 1]."""
+    tile = np.matmul(view_a[rows], view_b.T, out=out)
+    return np.clip(tile, -1.0, 1.0, out=tile)
+
+
+def _packed_tile(rows, view_a, view_b, out=None):
+    """Rows `rows` of a.a^T right of the diagonal and b.b^T left of it and on it, clamped.
+
+    Both products run over all N columns. BLAS computes a product's edge
+    blocks with other kernels, so an entry of a product over fewer columns can
+    differ in its last bit from the same entry of the full one.
+    """
+    r0, r1 = rows.start, rows.stop
+    tile = np.matmul(view_a[rows], view_a.T, out=out)
     within_b = view_b[rows] @ view_b.T
-    np.copyto(packed, within_b, where=~upper)
-    np.clip(cross, -1.0, 1.0, out=cross)
-    np.clip(packed, -1.0, 1.0, out=packed)
-    return cross, packed, within_b
+    tile[:, :r0] = within_b[:, :r0]
+    np.copyto(tile[:, r0:r1], within_b[:, r0:r1], where=np.tri(r1 - r0, dtype=bool))
+    return np.clip(tile, -1.0, 1.0, out=tile)
 
 
 def _fold_chunk(rows, view_a, view_b, profile, frozen_at, shift, sums, positive, mode=None):
@@ -70,18 +83,16 @@ def _fold_chunk(rows, view_a, view_b, profile, frozen_at, shift, sums, positive,
     and its column sums. Returns the tiles dL/dz is chained from: with a
     `mode`, the cross and packed factors of dL/ds; then e_cross, e_a and e_b.
     """
-    n = view_a.shape[0]
-    anchors, columns = np.arange(rows.start, rows.stop)[:, None], np.arange(n)
-    upper = columns > anchors
-    # four tiles at most: each product is clamped, scaled and exponentiated in
-    # place, and without a `mode` each 1/tau tile is freed before the next tau
-    cross, packed, e_b = _similarity_tiles(rows, view_a, view_b, upper)
-    tau_at = (cross, packed) if frozen_at is None else _similarity_tiles(rows, *frozen_at, upper)
+    r0, r1 = rows.start, rows.stop
+    # two tiles without a `mode`: the similarities, exponentiated in place, and
+    # their 1/tau; the packed tile takes over the cross tile once its sums are
+    # out, and e_b takes over the packed tile's 1/tau
     factors = []
-    for which, s in enumerate((cross, packed)):
-        inv_tau = profile.tau(tau_at[which])
+    for build in (_cross_tile, _packed_tile):
+        s = build(rows, view_a, view_b, out=e_cross if mode is None and build is _packed_tile else None)
+        inv_tau = profile.tau_in_place(s.copy() if frozen_at is None else build(rows, *frozen_at))
         np.divide(1.0, inv_tau, out=inv_tau)
-        if which == 0:
+        if build is _cross_tile:
             positive[rows] = np.diagonal(s[:, rows]) * np.diagonal(inv_tau[:, rows])
         if mode is LossMode.COUPLED:
             # (tau - s dtau) / tau^2 as (1 - s dtau / tau) / tau, before the exps
@@ -92,13 +103,21 @@ def _fold_chunk(rows, view_a, view_b, profile, frozen_at, shift, sums, positive,
         s *= inv_tau
         s -= shift
         np.exp(s, out=s)
-        del inv_tau
-    e_cross, e_a = cross, packed
-    np.multiply(e_a, columns < anchors, out=e_b)
-    e_a *= upper
-    sums[0, rows] += row_sums(e_cross) + row_sums(e_a)
+        if build is _cross_tile:
+            e_cross, inv_tau = s, None
+            cross_rows, cross_columns = row_sums(e_cross), e_cross.sum(axis=0)
+    # e_b keeps what lies left of the diagonal, e_a what lies right of it; every
+    # exp is finite and positive, so the zeros have the bits of a 0/1 mask's
+    # product. DETACHED keeps 1/tau as its factor, so e_b needs a tile of its own
+    e_a, e_b = s, (np.empty_like(s) if mode is LossMode.DETACHED else inv_tau)
+    e_b[:, :r0] = e_a[:, :r0]
+    e_b[:, r0:] = 0.0
+    np.copyto(e_b[:, r0:r1], e_a[:, r0:r1], where=np.tri(r1 - r0, k=-1, dtype=bool))
+    e_a[:, :r0] = 0.0
+    np.copyto(e_a[:, r0:r1], 0.0, where=np.tri(r1 - r0, dtype=bool))
+    sums[0, rows] += cross_rows + row_sums(e_a)
     sums[0] += e_a.sum(axis=0)
-    sums[1] += e_cross.sum(axis=0) + e_b.sum(axis=0)
+    sums[1] += cross_columns + e_b.sum(axis=0)
     sums[1, rows] += row_sums(e_b)
     return (*factors, e_cross, e_a, e_b)
 

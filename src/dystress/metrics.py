@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from . import numeric
+from .errors import NumericError, ValidationError
 from .numeric import fmt, row_chunks
 from .geometry import EmbeddingBatch, PairKind
 
@@ -55,14 +56,15 @@ class Histogram:
         return int(self.counts[kind].sum())
 
 
-def _upper_tiles(points: np.ndarray):
+def _upper_tiles(points: np.ndarray, entries: int | None = None):
     """(rows, gram, upper) over row chunks of the Gram matrix's upper triangle.
 
     `gram` is points[rows] @ points[rows.start:].T and `upper` marks its
     entries right of the diagonal: each unordered distinct pair exactly once.
+    A chunk spans at most `entries` entries of the full matrix (`row_chunks`).
     """
     n = points.shape[0]
-    for start, stop in row_chunks(n, n):
+    for start, stop in row_chunks(n, n, entries):
         upper = np.arange(start, n)[None, :] > np.arange(start, stop)[:, None]
         yield slice(start, stop), points[start:stop] @ points[start:].T, upper
 
@@ -128,6 +130,32 @@ def check_knn_weight_temperature(value: float) -> None:
         raise ValidationError(f"kNN weight temperature must lie in [1/700, inf), got {value!r}")
 
 
+def _nearest(test_points: np.ndarray, train_points: np.ndarray, k: int):
+    """(rows, nearest, sims) per row chunk of the test points.
+
+    `nearest` holds each test row's k most similar train rows, most similar
+    first, and `sims` their clamped cosine similarities. Equal similarities
+    keep the lower train index first, as a stable sort of -s orders them; the
+    k are selected around the k-th value, and only they are sorted.
+    """
+    for start, stop in row_chunks(test_points.shape[0], train_points.shape[0]):
+        neg_sims = test_points[start:stop] @ train_points.T
+        np.clip(neg_sims, -1.0, 1.0, out=neg_sims)
+        np.negative(neg_sims, out=neg_sims)
+        kth = np.partition(neg_sims, k - 1, axis=1)[:, [k - 1]]  # a copy, so the partition goes
+        if np.isnan(kth).any():
+            raise NumericError("a test point has fewer than k train points at a finite similarity")
+        # everything below the k-th value, then ties at it, lowest index first, until k are taken
+        taken = neg_sims < kth
+        ties = neg_sims == kth
+        ties &= np.cumsum(ties, axis=1, dtype=np.int32) <= k - np.count_nonzero(taken, axis=1, keepdims=True)
+        taken |= ties
+        chosen = np.nonzero(taken)[1].reshape(stop - start, k)
+        order = np.argsort(np.take_along_axis(neg_sims, chosen, axis=1), axis=1, kind="stable")
+        nearest = np.take_along_axis(chosen, order, axis=1)
+        yield slice(start, stop), nearest, -np.take_along_axis(neg_sims, nearest, axis=1)
+
+
 def knn_probe(
     train_points: np.ndarray,
     train_labels: np.ndarray,
@@ -151,20 +179,14 @@ def knn_probe(
     check_knn_weight_temperature(weight_temperature)
     classes, class_index = np.unique(train_labels, return_inverse=True)
     correct = 0
-    for start, stop in row_chunks(test_points.shape[0], train_points.shape[0]):
-        neg_sims = test_points[start:stop] @ train_points.T
-        np.clip(neg_sims, -1.0, 1.0, out=neg_sims)
-        np.negative(neg_sims, out=neg_sims)
-        # a stable sort of -s: equal similarities keep the lower train index first;
-        # the copy lets the whole argsort tile go
-        nearest = np.argsort(neg_sims, axis=1, kind="stable")[:, :k].copy()
-        weights = np.exp(-np.take_along_axis(neg_sims, nearest, axis=1) / weight_temperature)
-        votes = np.zeros((stop - start, classes.size))
-        rows = np.arange(stop - start)
+    for rows, nearest, sims in _nearest(test_points, train_points, k):
+        weights = np.exp(sims / weight_temperature)
+        votes = np.zeros((nearest.shape[0], classes.size))
+        chunk_rows = np.arange(nearest.shape[0])
         for rank in range(k):  # votes add up in rank order
-            votes[rows, class_index[nearest[:, rank]]] += weights[:, rank]
+            votes[chunk_rows, class_index[nearest[:, rank]]] += weights[:, rank]
         predicted = classes[np.argmax(votes, axis=1)]  # argmax takes the smallest index on ties
-        correct += int(np.count_nonzero(predicted == test_labels[start:stop]))
+        correct += int(np.count_nonzero(predicted == test_labels[rows]))
     return correct / test_points.shape[0]
 
 
@@ -181,7 +203,10 @@ def pair_histograms(batch: EmbeddingBatch) -> Histogram:
     labels = np.concatenate([batch.labels, batch.labels])
     edges = np.linspace(-1.0, 1.0, HISTOGRAM_BINS + 1)
     counts = {kind: np.zeros(HISTOGRAM_BINS, dtype=np.int64) for kind in PairKind}
-    for rows, gram, upper in _upper_tiles(batch.stacked()):
+    # a quarter of the budget: with its masks, masked copies and np.histogram's
+    # blocks a tile costs about four times its size, and this keeps the
+    # histogram under the loss's peak; integer counts do not depend on tile size
+    for rows, gram, upper in _upper_tiles(batch.stacked(), numeric.CHUNK_ENTRIES // 4):
         np.clip(gram, -1.0, 1.0, out=gram)
         # the positive of row i < N is column N + i
         positive = np.arange(rows.start, 2 * n)[None, :] == n + np.arange(rows.start, rows.stop)[:, None]

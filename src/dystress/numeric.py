@@ -76,14 +76,15 @@ def row_sums(m: np.ndarray) -> np.ndarray:
     return np.sum(m, axis=1)
 
 
-def row_chunks(n_rows: int, width: int):
+def row_chunks(n_rows: int, width: int, entries: Optional[int] = None):
     """(start, stop) of consecutive row chunks of an n_rows x width matrix.
 
-    Each chunk holds at most CHUNK_ENTRIES entries, and at least one row.
-    No chunk has more rows than the matrix, so a chunk of an NxN pair matrix
-    is never larger than the matrix itself.
+    Each chunk holds at most `entries` (by default CHUNK_ENTRIES) entries,
+    and at least one row. No chunk has more rows than the matrix, so a chunk
+    of an NxN pair matrix is never larger than the matrix itself.
     """
-    step = max(1, min(n_rows, CHUNK_ENTRIES // max(width, 1)))
+    entries = CHUNK_ENTRIES if entries is None else entries
+    step = max(1, min(n_rows, entries // max(width, 1)))
     for start in range(0, n_rows, step):
         yield start, min(start + step, n_rows)
 

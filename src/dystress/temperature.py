@@ -146,7 +146,15 @@ class TemperatureProfile:
     def tau(self, s):
         """Temperature per entry; accepts scalars or arrays, s in [-1, 1]."""
         scalar = np.isscalar(s) or np.ndim(s) == 0
-        out = self._check_domain(s)  # each formula runs in place on this copy, in its written order
+        out = self.tau_in_place(self._check_domain(s))
+        return float(out) if scalar else out
+
+    def tau_in_place(self, out: np.ndarray) -> np.ndarray:
+        """Overwrite a float64 array of similarities, already clipped to [-1, 1], with tau.
+
+        No domain check: the caller clipped `out`. Each formula runs in place,
+        in its written order; returns `out`.
+        """
         dt = self.tau_max - self.tau_min
         if self.variant == "constant":
             out.fill(self.tau_min)
@@ -199,8 +207,7 @@ class TemperatureProfile:
             out *= 0.5 * dt
             out += self.tau_min
         # cos() round-off can leak a few ulp past the band
-        np.clip(out, self.tau_min, self.tau_max, out=out)
-        return float(out) if scalar else out
+        return np.clip(out, self.tau_min, self.tau_max, out=out)
 
     def dtau_ds(self, s):
         """Analytic derivative of tau w.r.t. s (sub-gradient 0 at kinks)."""

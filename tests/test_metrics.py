@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_batch
 
-from dystress.errors import ValidationError
+from dystress.errors import NumericError, ValidationError
 from dystress.geometry import EmbeddingBatch, PairKind, l2_normalize
 from dystress.metrics import (
     HISTOGRAM_BINS,
@@ -148,6 +148,17 @@ class TestKnnProbe:
         test = np.vstack([q0, q1])
         test_labels = np.array([0] * 10 + [1] * 10)
         assert knn_probe(train, labels, test, test_labels, k=10) == 1.0
+
+    def test_nan_at_kth_neighbour_raises(self):
+        train = np.array([[1.0, 0.0], [0.0, 1.0], [np.nan, 0.0]])
+        labels = np.array([0, 1, 2])
+        query = np.array([[1.0, 0.0]])
+        # the NaN similarity ranks last, as a sort would put it, while k stops short of it
+        assert knn_probe(train, labels, query, np.array([0]), k=2) == 1.0
+        with pytest.raises(NumericError, match="finite similarity"):
+            knn_probe(train, labels, query, np.array([0]), k=3)
+        with pytest.raises(NumericError, match="finite similarity"):
+            knn_probe(train, labels, np.array([[np.nan, 1.0]]), np.array([0]), k=1)
 
     def test_k_bounds(self):
         with pytest.raises(ValidationError):

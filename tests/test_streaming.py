@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_batch
 
@@ -17,8 +18,8 @@ from dystress import harness, numeric, synthetic
 from dystress import encoder as enc
 from dystress.errors import BatchTooSmallError, NumericError
 from dystress.geometry import EmbeddingBatch, PairKind, build_logits_block, classify_pairs, l2_normalize
-from dystress.loss import forward, forward_from_block
-from dystress.metrics import HISTOGRAM_BINS, knn_probe, pair_histograms, tolerance, uniformity
+from dystress.loss import forward, forward_from_block, loss_on_embeddings
+from dystress.metrics import HISTOGRAM_BINS, _nearest, knn_probe, pair_histograms, tolerance, uniformity
 from dystress.numeric import Rng
 from dystress.temperature import TemperatureProfile
 
@@ -95,6 +96,28 @@ def test_loss_matches_block_reference(monkeypatch, rng, n, rows):
         assert relative(forward(batch, profile), reference) < 1e-12, profile.variant
 
 
+# repr of forward, and of loss_on_embeddings with frozen_at = z, at N=257 in
+# 3-row chunks (86 chunks, the last one ragged), one pair per ALL_VARIANTS entry
+MANY_CHUNK_BITS = [
+    ("8.627218840030512", "8.627218840030512"),
+    ("8.358364218284922", "8.358364218284922"),
+    ("8.163553694327685", "8.163553694327685"),
+    ("7.603822454905353", "7.603822454905353"),
+    ("8.179446437512542", "8.179446437512542"),
+    ("8.280831070017873", "8.280831070017873"),
+]
+
+
+@pytest.mark.parametrize(
+    "profile, bits", [pytest.param(p, b, id=p.variant) for p, b in zip(ALL_VARIANTS, MANY_CHUNK_BITS)]
+)
+def test_many_chunk_walk_keeps_its_bits(monkeypatch, profile, bits):
+    batch = random_batch(Rng(257), 257, 8)
+    set_chunk_rows(monkeypatch, 3, 257)
+    z = batch.stacked()
+    assert (repr(forward(batch, profile)), repr(loss_on_embeddings(z, profile, frozen_at=z))) == bits
+
+
 @pytest.mark.parametrize("rows", CHUNK_ROWS)
 @pytest.mark.parametrize("n", SIZES)
 def test_uniformity_and_tolerance_match_pair_lists(monkeypatch, rng, n, rows):
@@ -153,6 +176,28 @@ def test_knn_tied_similarities_at_kth_neighbour(monkeypatch, rows):
         assert knn_probe(train, train_labels, test, test_labels, k=k) == expected, k
 
 
+# points with coordinates on a coarse grid: dot products are exact multiples of
+# 1/4, many tie, and the clamp to [-1, 1] ties more of them at +-1
+def grid_points(max_size):
+    point = st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=3, max_size=3)
+    return st.lists(point, min_size=1, max_size=max_size)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(grid_points(12), grid_points(7))
+def test_knn_selection_is_a_stable_sort_on_ties(train, test):
+    train, test = np.array(train), np.array(test)
+    sims = np.clip(test @ train.T, -1.0, 1.0)
+    for rows in CHUNK_ROWS:
+        with pytest.MonkeyPatch.context() as patch:
+            set_chunk_rows(patch, rows, train.shape[0])
+            for k in range(1, train.shape[0] + 1):
+                chunks = list(_nearest(test, train, k))
+                nearest = np.vstack([chunk[1] for chunk in chunks])
+                assert np.array_equal(nearest, np.argsort(-sims, axis=1, kind="stable")[:, :k]), (rows, k)
+                assert np.array_equal(np.vstack([chunk[2] for chunk in chunks]), np.take_along_axis(sims, nearest, 1))
+
+
 def test_knn_tie_at_kth_neighbour_takes_lower_train_index():
     train = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     query = np.array([[0.0, 1.0]])
@@ -182,23 +227,44 @@ def test_loss_checks_kept():
 # -- memory --------------------------------------------------------------------
 
 
-def test_eval_memory_stays_linear_at_n_1500():
-    config = harness.ExperimentConfig(synthetic=synthetic.SyntheticSpec(samples_per_class=150), epochs=0)
+def eval_peak(config):
+    """tracemalloc peak of one eval with histograms, epoch 0, of `config`."""
     root_rng = Rng(config.seed)
     train_set = synthetic.generate(config.synthetic, config.seed)
     test_set = synthetic.generate_eval_split(
         config.synthetic, train_set.class_centers, root_rng.substream("testdata")
     )
     params = enc.init_params(config.encoder, root_rng.substream("init"))
-    assert train_set.size == 1500
+    args = config, params, train_set, test_set, root_rng
+    harness._eval_state(*args, epoch=0, with_histogram=True)  # warm up: np.unique imports numpy.ma once
     tracemalloc.start()
     try:
-        harness._eval_state(config, params, train_set, test_set, root_rng, epoch=0, with_histogram=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        harness._eval_state(*args, epoch=0, with_histogram=True)
+        return tracemalloc.get_traced_memory()[1], train_set.size
     finally:
         tracemalloc.stop()
-    # 9.2 MiB measured, with four 174x1500 tiles live in the loss; the bound leaves 20%
-    assert peak < 11.1 * 2**20, f"eval peak {peak / 2**20:.1f} MiB"
+
+
+def test_eval_memory_stays_linear_at_n_1500():
+    config = harness.ExperimentConfig(synthetic=synthetic.SyntheticSpec(samples_per_class=150), epochs=0)
+    peak, n = eval_peak(config)
+    assert n == 1500
+    # 5.1 MiB measured, with two 174x1500 tiles live in the loss; the bound leaves 20%
+    assert peak < 6.1 * 2**20, f"eval peak {peak / 2**20:.2f} MiB"
+
+
+def test_small_eval_histogram_takes_tiles_of_a_quarter_budget():
+    # the sweep-ablation train set: its 360x360 stacked Gram fits one full
+    # budget, which is four times the loss's 180x180 tile
+    config = harness.ExperimentConfig(
+        synthetic=synthetic.SyntheticSpec(num_classes=6, samples_per_class=30, ambient_dim=16),
+        encoder=enc.EncoderSpec(layer_widths=(16, 32, 8)),
+        epochs=0,
+    )
+    peak, n = eval_peak(config)
+    assert n == 180
+    # 1.5 MiB measured (2.5 with the histogram in one 360x360 tile); the bound leaves 20%
+    assert peak < 1.8 * 2**20, f"eval peak {peak / 2**20:.2f} MiB"
 
 
 def test_histograms_hold_linear_memory_at_n_2000(rng):
@@ -211,13 +277,13 @@ def test_histograms_hold_linear_memory_at_n_2000(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 6.5 MiB measured: one 65x4000 Gram tile, its largest masked copy and
-    # np.histogram's blocks
-    assert peak < 7.0 * 2**20, f"histogram peak {peak / 2**20:.2f} MiB"
+    # 2.2 MiB measured: one 16x4000 Gram tile, its largest masked copy and
+    # np.histogram's blocks; the bound leaves 20%
+    assert peak < 2.65 * 2**20, f"histogram peak {peak / 2**20:.2f} MiB"
 
 
 @pytest.mark.parametrize("profile", ALL_VARIANTS, ids=lambda p: p.variant)
-def test_loss_holds_four_tiles_per_chunk(monkeypatch, rng, profile):
+def test_loss_holds_two_tiles_per_chunk(monkeypatch, rng, profile):
     n, rows = 512, 64
     batch = random_batch(rng, n, 16)
     set_chunk_rows(monkeypatch, rows, n)
@@ -229,7 +295,8 @@ def test_loss_holds_four_tiles_per_chunk(monkeypatch, rng, profile):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # a.b^T, a.a^T, b.b^T (later e_b) and one tau tile, beside bool masks of an
+    # the similarity tile, exponentiated in place, and its 1/tau tile (b.b^T
+    # while the packed tile is built, e_b at the end), beside bool masks of an
     # eighth of a tile each; the exponential tau holds one more tile of its own
-    tiles = 5 if profile.variant == "exponential" else 4
+    tiles = 3 if profile.variant == "exponential" else 2
     assert peak < tiles * tile + 3 * tile / 8 + 2**16, f"loss peaked at {peak / tile:.2f} tiles"

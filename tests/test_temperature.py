@@ -115,6 +115,15 @@ class TestTau:
         assert np.all(tau <= profile.tau_max + 1e-12)
 
     @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.spec_string())
+    def test_tau_in_place_matches_tau(self, profile):
+        s = np.concatenate([np.linspace(-1.0, 1.0, 2001), Rng(6).uniform(500) * 2.0 - 1.0])
+        out = s.copy()
+        assert profile.tau_in_place(out) is out
+        assert np.array_equal(out, profile.tau(s))
+        with pytest.raises(DomainError):  # the check stays with tau
+            profile.tau(np.array([0.0, 1.1]))
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.spec_string())
     def test_tau_allocates_only_its_output_tile(self, profile):
         s = Rng(4).uniform((256, 256)) * 2.0 - 1.0
         tile, mask = s.nbytes, s.size  # bytes of a float64 tile and of a bool mask
