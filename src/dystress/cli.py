@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 
 from . import harness, metrics as metrics_mod, temperature
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_int
 from .geometry import l2_normalize
 from .loss import LossMode, grad_wrt_embeddings, loss_on_embeddings
 from .numeric import Rng, finite_difference_grad, fmt, max_relative_error
@@ -134,8 +134,8 @@ def _cmd_ode_verify(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.n < 2 or args.d < 2 or args.trials < 1:
-        raise ValidationError("need n >= 2, d >= 2, trials >= 1")
+    for flag, value, low in (("--n", args.n, 2), ("--d", args.d, 2), ("--trials", args.trials, 1)):
+        check_int(flag, value, low)
     profile = TemperatureProfile.from_spec_string(args.profile)
     mode = LossMode(args.mode)
     rng = Rng(args.seed).substream("gradcheck")

@@ -11,14 +11,13 @@ optimizer; defaults follow the usual contrastive pre-training recipe
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, check_int
+from .errors import NumericError, ValidationError, check_float, check_int
 from .geometry import unit_rows
 from .numeric import Rng, row_sums
 
@@ -39,12 +38,10 @@ class EncoderSpec:
         object.__setattr__(self, "layer_widths", widths)
         if len(widths) < 2:
             raise ValidationError("need at least one affine layer (two widths)")
-        if widths[-1] < 2:
-            raise ValidationError("output dimension must be at least 2")
+        check_int("output dimension", widths[-1], 2)
         if self.nonlinearity not in NONLINEARITIES:
             raise ValidationError(f"nonlinearity must be one of {NONLINEARITIES}")
-        if not (0.0 < self.init_scale < math.inf):
-            raise ValidationError(f"init_scale must be positive and finite, got {self.init_scale!r}")
+        check_float("init_scale", self.init_scale, 0.0, open_low=True)
 
     @property
     def num_layers(self) -> int:
@@ -171,12 +168,9 @@ class OptimizerSettings:
     weight_decay: float = 5e-4
 
     def __post_init__(self):
-        if not (0.0 < self.lr < math.inf):
-            raise ValidationError(f"lr must be positive and finite, got {self.lr!r}")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValidationError(f"momentum must lie in [0, 1), got {self.momentum!r}")
-        if not (0.0 <= self.weight_decay < math.inf):
-            raise ValidationError(f"weight_decay must be non-negative and finite, got {self.weight_decay!r}")
+        check_float("lr", self.lr, 0.0, open_low=True)
+        check_float("momentum", self.momentum, 0.0, 1.0, open_high=True)
+        check_float("weight_decay", self.weight_decay, 0.0)
 
 
 @dataclass

@@ -35,7 +35,7 @@ from . import metrics as metrics_mod
 from . import synthetic
 from .errors import NumericError, ValidationError, check_fields, check_int, from_section
 from .geometry import EmbeddingBatch, write_embedding_dump
-from .numeric import Rng, fmt, retain_freed_memory, single_blas_thread
+from .numeric import MAX_SEED, Rng, fmt, retain_freed_memory, single_blas_thread
 from .temperature import TemperatureProfile
 
 CONFIG_VERSION = 1
@@ -65,7 +65,7 @@ class ExperimentConfig:
     out_dir: Optional[Path] = None
 
     def __post_init__(self):
-        check_int("seed", self.seed, 0)
+        check_int("seed", self.seed, 0, MAX_SEED)
         check_int("batch_size", self.batch_size, 2)
         check_int("epochs", self.epochs, 0)
         check_int("eval_every", self.eval_every, 1)

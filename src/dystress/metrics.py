@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import numeric
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_float, check_int
 from .numeric import fmt, row_chunks
 from .geometry import EmbeddingBatch, PairKind
 
@@ -125,9 +125,8 @@ def tolerance(points: np.ndarray, labels: np.ndarray) -> float:
 
 
 def check_knn_weight_temperature(value: float) -> None:
-    """ValidationError unless 1/700 <= `value` < inf, the range where every vote weight is finite."""
-    if not (KNN_WEIGHT_TEMPERATURE_FLOOR <= value < np.inf):
-        raise ValidationError(f"kNN weight temperature must lie in [1/700, inf), got {value!r}")
+    """ValidationError unless `value` is a finite number of at least 1/700, where every vote weight is finite."""
+    check_float("kNN weight temperature", value, KNN_WEIGHT_TEMPERATURE_FLOOR)
 
 
 def _nearest(test_points: np.ndarray, train_points: np.ndarray, k: int):
@@ -174,8 +173,7 @@ def knn_probe(
     test_points, test_labels = _aligned(test_points, test_labels)
     if train_points.size == 0 or test_points.size == 0:
         raise ValidationError("knn probe needs non-empty train and test sets")
-    if not (1 <= k <= train_points.shape[0]):
-        raise ValidationError(f"k must be in [1, {train_points.shape[0]}], got {k}")
+    check_int("k", k, 1, train_points.shape[0])
     check_knn_weight_temperature(weight_temperature)
     classes, class_index = np.unique(train_labels, return_inverse=True)
     correct = 0

@@ -26,9 +26,10 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, check_float, check_int
 
 DEFAULT_FD_EPS = 1e-6
+MAX_SEED = 2**64 - 1  # a seed is one 64-bit word of Philox's key
 CHUNK_ENTRIES = 2**18  # float64 entries per chunk of a pair matrix: 2 MiB
 
 
@@ -48,9 +49,7 @@ class Rng:
     """
 
     def __init__(self, seed: int, stream: int = 0):
-        if not (0 <= int(seed) < 2**64):
-            raise ValidationError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = int(seed)
+        self.seed = check_int("seed", seed, 0, MAX_SEED)
         self.stream = int(stream) % 2**64
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
@@ -175,8 +174,7 @@ def finite_difference_grad(
     Returns (f(x + eps*e_k) - f(x - eps*e_k)) / (2 eps) per coordinate.
     Raises NumericError naming the coordinate if an evaluation is non-finite.
     """
-    if eps <= 0:
-        raise ValidationError(f"finite-difference step must be positive, got {eps}")
+    check_float("finite-difference step", eps, 0.0, open_low=True)
     x = np.asarray(x, dtype=np.float64).copy()
     grad = np.zeros_like(x)
     for k in range(x.size):

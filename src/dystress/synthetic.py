@@ -11,16 +11,17 @@ orthogonal on their own, so experiments should pick D_in accordingly.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError, check_int
+from .errors import ValidationError, check_float, check_int
 from .geometry import l2_normalize, unit_rows
 from .numeric import Rng
+
+HOLDOUT_STRIDE = 5  # `holdout_split` holds out about a fifth of each class
 
 
 @dataclass(frozen=True)
@@ -36,16 +37,9 @@ class SyntheticSpec:
         check_int("num_classes", self.num_classes, 2)
         check_int("samples_per_class", self.samples_per_class, 1)
         check_int("ambient_dim", self.ambient_dim, 2)
-        if not (0.0 < self.intra_class_sigma < math.inf):
-            raise ValidationError(
-                f"intra_class_sigma must be positive and finite, got {self.intra_class_sigma!r}"
-            )
-        if not (0.0 <= self.augment_sigma < math.inf):
-            raise ValidationError(
-                f"augment_sigma must be non-negative and finite, got {self.augment_sigma!r}"
-            )
-        if not (0.0 < self.long_tail_rho <= 1.0):
-            raise ValidationError(f"long_tail_rho must lie in (0, 1], got {self.long_tail_rho!r}")
+        check_float("intra_class_sigma", self.intra_class_sigma, 0.0, open_low=True)
+        check_float("augment_sigma", self.augment_sigma, 0.0)
+        check_float("long_tail_rho", self.long_tail_rho, 0.0, 1.0, open_low=True)
 
     def class_sizes(self) -> list[int]:
         """M_c = max(1, round(M * rho^c)); rho = 1 gives balanced classes."""
@@ -100,15 +94,12 @@ def generate_eval_split(spec: SyntheticSpec, centers: np.ndarray, rng: Rng) -> D
     return sample_class_points(centers, sizes, spec.intra_class_sigma, rng, id_prefix="t")
 
 
-def holdout_split(dataset: Dataset, fraction: float = 0.2) -> tuple[Dataset, Dataset]:
-    """Deterministic per-class holdout for datasets without known centers."""
-    if not (0.0 < fraction < 1.0):
-        raise ValidationError("holdout fraction must lie in (0, 1)")
-    stride = max(2, int(round(1.0 / fraction)))
+def holdout_split(dataset: Dataset) -> tuple[Dataset, Dataset]:
+    """Per-class holdout for datasets without known centers: every HOLDOUT_STRIDE-th sample, from the first."""
     test_mask = np.zeros(dataset.size, dtype=bool)
     for c in np.unique(dataset.labels):
         idx = np.flatnonzero(dataset.labels == c)
-        test_mask[idx[::stride]] = True
+        test_mask[idx[::HOLDOUT_STRIDE]] = True
     if test_mask.all():
         raise ValidationError("holdout would consume the whole dataset")
 
@@ -149,8 +140,7 @@ def augment_views(inputs: np.ndarray, sigma_a: float, rng: Rng) -> tuple[np.ndar
 
 def make_batches(dataset: Dataset, batch_size: int, rng: Rng) -> list[np.ndarray]:
     """Shuffled index batches for one epoch; a final batch of size < 2 is dropped."""
-    if batch_size < 2:
-        raise ValidationError("batch size must be at least 2")
+    check_int("batch size", batch_size, 2)
     perm = rng.permutation(dataset.size)
     batches = [perm[i : i + batch_size] for i in range(0, dataset.size, batch_size)]
     if batches and len(batches[-1]) < 2:

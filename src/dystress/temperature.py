@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError, check_int, from_section
+from .errors import DomainError, NumericError, ValidationError, check_float, check_int, from_section
 from .numeric import fmt
 
 DOMAIN_SLACK = 1e-9
@@ -90,19 +90,12 @@ class TemperatureProfile:
             raise ValidationError(
                 f"constant profile takes no tau_max other than tau_min {self.tau_min!r} (got {self.tau_max!r})"
             )
-        if not (TAU_MIN_FLOOR <= self.tau_min <= self.tau_max < math.inf):
-            raise ValidationError(
-                f"need 1/350 <= tau_min <= tau_max < inf, got ({self.tau_min}, {self.tau_max})"
-            )
-        if self.variant == "cosine_shifted":
-            low, high = SCALE_RANGE
-            if not (low <= self.scale <= high):
-                raise ValidationError(f"shifted-profile scale must lie in [{low:g}, {high:g}], got {self.scale}")
-            if not (-1.0 <= self.shift <= 1.0):
-                raise ValidationError(f"shifted-profile shift must be in [-1, 1], got {self.shift}")
-        low, high = SHARPNESS_RANGE
-        if self.variant == "exponential" and not (low <= self.sharpness <= high):
-            raise ValidationError(f"exponential sharpness must lie in [{low:g}, {high:g}], got {self.sharpness}")
+        check_float("tau_min", self.tau_min, TAU_MIN_FLOOR)
+        check_float("tau_max", self.tau_max, self.tau_min)
+        # a shape field the variant ignores holds its default, which lies in range
+        check_float("shift", self.shift, -1.0, 1.0)
+        check_float("scale", self.scale, *SCALE_RANGE)
+        check_float("sharpness", self.sharpness, *SHARPNESS_RANGE)
 
     # -- constructors ------------------------------------------------------
 
@@ -265,9 +258,7 @@ class TemperatureProfile:
 
 def profile_curve(profile: TemperatureProfile, samples: int) -> np.ndarray:
     """(s, tau) table over `samples` evenly spaced s in [-1, 1]."""
-    if samples < 2:
-        raise ValidationError(f"need at least 2 samples, got {samples}")
-    s = np.linspace(-1.0, 1.0, samples)
+    s = np.linspace(-1.0, 1.0, check_int("samples", samples, 2))
     return np.column_stack([s, profile.tau(s)])
 
 
@@ -308,11 +299,9 @@ class OdeCurve:
 
 
 def _check_curve_args(delta: float, bigK: float, tau_max: float) -> None:
-    """The curve parameters must be positive and finite (NaN fails too)."""
-    if not all(0.0 < x < math.inf for x in (delta, bigK, tau_max)):
-        raise ValidationError(
-            f"delta, bigK, and tau_max must be positive and finite, got ({delta}, {bigK}, {tau_max})"
-        )
+    """The curve parameters must be positive and finite."""
+    for name, value in (("delta", delta), ("bigK", bigK), ("tau_max", tau_max)):
+        check_float(name, value, 0.0, open_low=True)
 
 
 def _check_constant_args(delta: float, bigK: float, tau_max: float) -> float:
@@ -431,9 +420,7 @@ def sample_constants(c_high: float, c_low: float, c_count: int) -> np.ndarray:
     (slope sign undefined as a family property there), so the verifier
     samples the interior.
     """
-    if c_count < 2:
-        raise ValidationError(f"need at least 2 constants, got {c_count}")
-    edges = np.linspace(c_low, c_high, c_count + 1)
+    edges = np.linspace(c_low, c_high, check_int("c_count", c_count, 2) + 1)
     return 0.5 * (edges[:-1] + edges[1:])
 
 

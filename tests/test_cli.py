@@ -42,6 +42,7 @@ def with_value(payload, path, value):
 
 
 NAN, INF = float("nan"), float("inf")
+TOO_BIG_FOR_A_DOUBLE = 10**400  # a JSON int of 401 digits; float() of it overflows
 MALFORMED_BASE = {**TINY_CONFIG, "profile": {"variant": "exponential", "tau_min": 0.1, "tau_max": 0.2}}
 MALFORMED_CONFIG_VALUES = [
     ("knn_weight_temperature", NAN),
@@ -65,16 +66,32 @@ MALFORMED_CONFIG_VALUES = [
     ("config_version", True),
     ("config_version", 1.0),
     ("knn_weight_temperature", 1e-300),
+    ("optimizer.lr", True),
+    ("encoder.init_scale", True),
+    ("profile.sharpness", True),
+    ("synthetic.augment_sigma", True),
+    ("optimizer.lr", TOO_BIG_FOR_A_DOUBLE),
+    ("knn_weight_temperature", TOO_BIG_FOR_A_DOUBLE),
 ]
-MALFORMED_SWEEP_VALUES = [("overrides", {"seeds": ["a"]}), ("max_configs", "x"), ("config_version", True)]
+MALFORMED_SWEEP_VALUES = [
+    ("overrides", {"seeds": ["a"]}),
+    ("overrides", {"seeds": [0, 2**64]}),
+    ("max_configs", "x"),
+    ("config_version", True),
+]
+
+
+def value_id(value) -> str:
+    """Test-id text for `value`, with the 401-digit int spelled 10**400."""
+    return "10**400" if value == TOO_BIG_FOR_A_DOUBLE else repr(value)
 
 
 def malformed_runs():
     for path, value in MALFORMED_CONFIG_VALUES:
         config = with_value(MALFORMED_BASE, path, value)
-        yield pytest.param("simulate", config, id=f"simulate-{path}={value!r}")
+        yield pytest.param("simulate", config, id=f"simulate-{path}={value_id(value)}")
         sweep = {"config_version": 1, "base": config}
-        yield pytest.param("sweep", sweep, id=f"sweep-base.{path}={value!r}")
+        yield pytest.param("sweep", sweep, id=f"sweep-base.{path}={value_id(value)}")
     for path, value in MALFORMED_SWEEP_VALUES:
         sweep = with_value({"config_version": 1, "base": MALFORMED_BASE}, path, value)
         yield pytest.param("sweep", sweep, id=f"sweep-{path}={value!r}")
@@ -243,8 +260,10 @@ class TestGradcheck:
         assert code == EXIT_OK
         assert "PASS" in capsys.readouterr().out
 
-    def test_bad_arguments_exit_1(self):
-        assert main(["gradcheck", "--n", "1"]) == EXIT_VALIDATION
+    def test_bad_arguments_exit_1(self, capsys):
+        for flag in ("--n", "--d", "--trials"):
+            assert main(["gradcheck", flag, "0"]) == EXIT_VALIDATION
+            assert f"error: {flag} must be an integer" in capsys.readouterr().err
 
 
 class TestSimulateAndMetrics:

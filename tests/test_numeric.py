@@ -1,13 +1,15 @@
 """Substrate tests: RNG determinism, stable softmax, finite differences."""
 
 import ctypes
-import resource
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dystress import encoder as enc
-from dystress import harness, numeric, synthetic
+from dystress import numeric
 from dystress.errors import NumericError, ValidationError
 from dystress.numeric import (
     Rng,
@@ -47,8 +49,10 @@ class TestRng:
         assert np.all(u >= 0.0) and np.all(u < 1.0)
 
     def test_bad_seed_rejected(self):
-        with pytest.raises(ValidationError):
-            Rng(-1)
+        # a float or bool seed is not truncated to an int, and the key is one 64-bit word
+        for seed in (-1, 2**64, 2.7, True):
+            with pytest.raises(ValidationError, match="seed must be an integer"):
+                Rng(seed)
 
 
 class TestStableRowSoftmax:
@@ -128,23 +132,42 @@ class TestSingleBlasThread:
             set_threads(before)
 
 
+# Prints the minor page faults of one 20-step training epoch after a warm-up epoch.
+FAULT_PROBE = """
+import resource
+from dystress import encoder as enc, harness, synthetic
+from dystress.numeric import Rng, retain_freed_memory, single_blas_thread
+
+assert retain_freed_memory()
+# 2560 samples: an epoch is 20 steps of the default batch of 128
+config = harness.ExperimentConfig(synthetic=synthetic.SyntheticSpec(samples_per_class=256))
+train_set = synthetic.generate(config.synthetic, config.seed)
+rng = Rng(config.seed)
+params = enc.init_params(config.encoder, rng.substream("init"))
+state = enc.init_optimizer(params, config.optimizer)
+# with OpenBLAS pinned, this thread runs all of a step's NumPy
+who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+with single_blas_thread():
+    harness._train_epoch(config, params, state, train_set, rng, epoch=0)  # warm-up
+    before = resource.getrusage(who).ru_minflt
+    harness._train_epoch(config, params, state, train_set, rng, epoch=1)
+    print(resource.getrusage(who).ru_minflt - before)
+"""
+
+
 class TestRetainFreedMemory:
     def test_training_steps_fault_in_no_pages(self):
         if not retain_freed_memory():
             pytest.skip("no glibc mallopt in this process")
-        # 2560 samples: an epoch is 20 steps of the default batch of 128
-        config = harness.ExperimentConfig(synthetic=synthetic.SyntheticSpec(samples_per_class=256))
-        train_set = synthetic.generate(config.synthetic, config.seed)
-        rng = Rng(config.seed)
-        params = enc.init_params(config.encoder, rng.substream("init"))
-        state = enc.init_optimizer(params, config.optimizer)
-        # with OpenBLAS pinned, this thread runs all of a step's NumPy
-        who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
-        with single_blas_thread():
-            harness._train_epoch(config, params, state, train_set, rng, epoch=0)  # warm-up
-            before = resource.getrusage(who).ru_minflt
-            harness._train_epoch(config, params, state, train_set, rng, epoch=1)
-            faults = resource.getrusage(who).ru_minflt - before
+        # a fresh interpreter: in the suite's process a step can fault on pages that earlier
+        # tests left, in a fragmented heap that the step grows or write-protected by a fork
+        src = Path(numeric.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", FAULT_PROBE],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        faults = int(done.stdout)
         assert faults / 20 < 1.0, f"{faults} minor page faults in 20 training steps"
 
     def test_without_glibc_returns_false(self, monkeypatch):

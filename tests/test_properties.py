@@ -1,11 +1,13 @@
-"""Property tests: config and profile round trips, the profile range, and the
-exponential profile against 50-digit arithmetic.
+"""Property tests: config and profile round trips, malformed float fields, the
+profile range, and the exponential profile against 50-digit arithmetic.
 
 Examples are derandomized, so every run draws the same cases and the suite
 stays deterministic.
 """
 
 import json
+import math
+import numbers
 
 import mpmath
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dystress.encoder import NONLINEARITIES, EncoderSpec, OptimizerSettings
+from dystress.errors import ValidationError
 from dystress.harness import ExperimentConfig, config_from_dict
 from dystress.loss import LossMode
 from dystress.metrics import KNN_WEIGHT_TEMPERATURE_FLOOR
@@ -95,6 +98,45 @@ def configs(draw):
 @given(configs())
 def test_config_round_trips_through_json(config):
     assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
+
+def float_leaves(section: dict, prefix: tuple = ()) -> dict:
+    """{path: value} of every float in a nested config dict."""
+    leaves = {}
+    for key, value in section.items():
+        if isinstance(value, dict):
+            leaves.update(float_leaves(value, prefix + (key,)))
+        elif isinstance(value, float):
+            leaves[prefix + (key,)] = value
+    return leaves
+
+
+DEFAULT_DICT = ExperimentConfig().to_dict()
+# the exit-code fuzz pool: non-finite, extreme, bool, non-number, and too large for a double
+FUZZ_POOL = [math.nan, math.inf, -math.inf, 0, -1, 1e300, 1e-300, 5e-324, True, False, "x", [], {}, None,
+             2**64, 10**400]
+
+
+@PROPERTY
+@given(st.sampled_from(sorted(float_leaves(DEFAULT_DICT))), st.sampled_from(FUZZ_POOL))
+def test_malformed_float_field_rejected_at_parse(path, value):
+    raw = json.loads(json.dumps(DEFAULT_DICT))
+    *sections, key = path
+    target = raw
+    for section in sections:
+        target = target[section]
+    target[key] = value
+    try:
+        config = config_from_dict(raw)
+    except ValidationError:
+        return
+    parsed = config.to_dict()
+    for leaf in float_leaves(DEFAULT_DICT):
+        field = parsed
+        for part in leaf:
+            field = field[part]
+        assert isinstance(field, numbers.Real) and not isinstance(field, bool)
+        assert math.isfinite(field)
 
 
 @PROPERTY

@@ -174,8 +174,9 @@ class TestMakeBatches:
         assert all(np.array_equal(x, y) for x, y in zip(b1, b2))
 
     def test_batch_size_floor(self):
-        with pytest.raises(ValidationError):
-            make_batches(self._dataset(4), 1, Rng(0))
+        for batch_size in (1, 2.5):
+            with pytest.raises(ValidationError, match="batch size"):
+                make_batches(self._dataset(4), batch_size, Rng(0))
 
 
 class TestFalseNegativeFraction:
@@ -211,7 +212,7 @@ class TestEvalSplit:
 
     def test_holdout_split_partitions(self):
         ds = generate(spec(), 7)
-        train, test = holdout_split(ds, fraction=0.2)
+        train, test = holdout_split(ds)
         assert train.size + test.size == ds.size
         assert set(train.sample_ids).isdisjoint(test.sample_ids)
         # every class appears in the test split
