@@ -23,6 +23,7 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 GRADCHECK_THRESHOLD = 1e-4
+PROFILE_HELP = "spec string, e.g. constant:0.1, cosine:0.1:0.2, shifted:0.1:0.2:-0.4:0.7"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,12 +52,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--k", type=int, default=metrics_mod.DEFAULT_KNN_K)
 
     p = sub.add_parser("temp-profile", help="dump a temperature profile as CSV")
-    p.add_argument("--variant", required=True, choices=temperature.PROFILE_NAMES)
-    p.add_argument("--tmin", dest="tau_min", type=float, required=True)
-    p.add_argument("--tmax", dest="tau_max", type=float, required=True)
-    p.add_argument("--shift", type=float, default=TemperatureProfile.shift)
-    p.add_argument("--scale", type=float, default=TemperatureProfile.scale)
-    p.add_argument("--sharpness", type=float, default=TemperatureProfile.sharpness)
+    p.add_argument("--profile", required=True, help=PROFILE_HELP)
     p.add_argument("--samples", type=int, default=201)
     p.add_argument("--out", required=True)
 
@@ -71,7 +67,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--d", type=int, default=8)
-    p.add_argument("--profile", default="cosine:0.1:0.2", help="e.g. constant:0.1, cosine:0.1:0.2, shifted:0.1:0.2:-0.4:0.7")
+    p.add_argument("--profile", default="cosine:0.1:0.2", help=PROFILE_HELP)
     p.add_argument("--mode", choices=["detached", "coupled"], default="detached")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
@@ -87,11 +83,8 @@ def _cmd_simulate(args) -> int:
     result = harness.run_experiment(config, data_path=args.data)
     final = result.final_report
     print(f"run complete: {result.out_dir}")
-    print(
-        f"final epoch {final.epoch}: loss={final.loss:.6f} "
-        f"uniformity={final.uniformity:.4f} alignment={final.alignment:.4f} "
-        f"interclass_uniformity={final.interclass_uniformity:.4f} knn_top1={final.knn_top1:.4f}"
-    )
+    names, cells = metrics_mod.METRICS_CSV_HEADER.split(","), metrics_mod.metrics_csv_row(final).split(",")
+    print(f"final epoch {final.epoch}: " + " ".join(f"{n}={c}" for n, c in zip(names[1:], cells[1:])))
     return EXIT_OK
 
 
@@ -105,16 +98,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_metrics(args) -> int:
     values = harness.metrics_from_dump(args.embeddings, k=args.k)
-    for key in ("uniformity", "alignment", "tolerance", "interclass_uniformity", "knn_top1"):
-        print(f"{key}={fmt(values[key])}")
+    for key, value in values.items():
+        print(f"{key}={fmt(value)}")
     return EXIT_OK
 
 
 def _cmd_temp_profile(args) -> int:
-    profile = TemperatureProfile(
-        temperature.variant_named(args.variant), args.tau_min, args.tau_max,
-        shift=args.shift, scale=args.scale, sharpness=args.sharpness,
-    )
+    profile = TemperatureProfile.from_spec_string(args.profile)
     temperature.write_profile_csv(args.out, profile, args.samples)
     print(f"wrote {args.samples} samples to {args.out}")
     return EXIT_OK

@@ -228,24 +228,27 @@ def write_embedding_dump(path: str | Path, batch: EmbeddingBatch) -> None:
 
 def read_embedding_dump(path: str | Path) -> EmbeddingBatch:
     """Inverse of write_embedding_dump; pairs records by id across views."""
-    by_view: dict[str, dict[str, dict]] = {"a": {}, "b": {}}
+    by_view: dict[str, dict[str, tuple]] = {"a": {}, "b": {}}  # id -> (z, label)
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            view = record.get("view")
+            try:  # a KeyError names the missing field
+                record = json.loads(line)
+                view, sample_id, z = record["view"], str(record["id"]), record["z"]
+            except (KeyError, TypeError, ValueError) as err:
+                raise ValidationError(f"bad embedding record on line {line_no}: {err}") from err
             if view not in ("a", "b"):
                 raise ValidationError(f"line {line_no}: view must be 'a' or 'b'")
-            by_view[view][str(record["id"])] = record
+            by_view[view][sample_id] = (z, record.get("label"))
     ids = sorted(by_view["a"])
     if ids != sorted(by_view["b"]):
         raise ValidationError("embedding dump has unpaired views")
     if not ids:
         raise ValidationError("embedding dump is empty")
-    view_a = np.array([by_view["a"][i]["z"] for i in ids], dtype=np.float64)
-    view_b = np.array([by_view["b"][i]["z"] for i in ids], dtype=np.float64)
-    raw_labels = [by_view["a"][i]["label"] for i in ids]
+    view_a = np.array([by_view["a"][i][0] for i in ids], dtype=np.float64)
+    view_b = np.array([by_view["b"][i][0] for i in ids], dtype=np.float64)
+    raw_labels = [by_view["a"][i][1] for i in ids]
     labels = None if any(l is None for l in raw_labels) else np.array(raw_labels, dtype=np.int64)
     return EmbeddingBatch(view_a=view_a, view_b=view_b, sample_ids=ids, labels=labels)

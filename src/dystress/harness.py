@@ -86,21 +86,18 @@ class ExperimentConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "config_version": CONFIG_VERSION,
-            "seed": self.seed,
-            "synthetic": asdict(self.synthetic),
-            "encoder": asdict(self.encoder),
-            "profile": self.profile.to_dict(),
-            "loss_mode": self.loss_mode.value,
-            "optimizer": asdict(self.optimizer),
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "eval_every": self.eval_every,
-            "knn_k": self.knn_k,
-            "knn_weight_temperature": self.knn_weight_temperature,
-            "out_dir": None if self.out_dir is None else str(self.out_dir),
-        }
+        return {"config_version": CONFIG_VERSION, **{f.name: _json_ready(getattr(self, f.name)) for f in fields(self)}}
+
+
+def _json_ready(value):
+    """A config field as JSON data: a section as its dict, the loss mode as its value, a path as a string."""
+    if isinstance(value, TemperatureProfile):
+        return value.to_dict()
+    if is_dataclass(value):
+        return asdict(value)
+    if isinstance(value, loss_mod.LossMode):
+        return value.value
+    return str(value) if isinstance(value, Path) else value
 
 
 def _check_config_version(raw: dict) -> None:
@@ -128,9 +125,16 @@ def config_from_dict(raw: dict, out_dir: Optional[Path] = None) -> ExperimentCon
     return from_section(ExperimentConfig, top, "config")
 
 
+def _read_json(path: str | Path):
+    """The JSON document in `path`; ValidationError when the file does not hold one."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, too many digits, too deep
+        raise ValidationError(f"{path} is not valid JSON: {err}") from err
+
+
 def load_config(path: str | Path, out_dir: Optional[Path] = None) -> ExperimentConfig:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    return config_from_dict(raw, out_dir=out_dir)
+    return config_from_dict(_read_json(path), out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -406,13 +410,10 @@ def sweep_from_dict(raw: dict) -> SweepSpec:
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
-    return sweep_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return sweep_from_dict(_read_json(path))
 
 
-SWEEP_CSV_HEADER = (
-    "config_index,profile,lr,seed,status,"
-    "epoch,loss,uniformity,alignment,tolerance,interclass_uniformity,knn_top1"
-)
+SWEEP_CSV_HEADER = "config_index,profile,lr,seed,status," + metrics_mod.METRICS_CSV_HEADER
 
 
 def _run_sweep_entry(args: tuple[int, ExperimentConfig]) -> tuple[int, str, list]:
@@ -466,14 +467,10 @@ def run_sweep(sweep: SweepSpec, sweep_dir: str | Path, workers: int = 1) -> Path
     for index, status, reports in outcomes:
         config = configs[index]
         prefix = f"{index},{config.profile.spec_string()},{fmt(config.optimizer.lr)},{config.seed}"
-        if status != "ok":
-            rows.append(f'{prefix},"{status}",,,,,,,')
+        if status != "ok":  # one empty cell per report field
+            rows.append(f'{prefix},"{status}"' + "," * len(fields(metrics_mod.MetricsReport)))
             continue
-        for r in reports:
-            rows.append(
-                f"{prefix},ok,{r.epoch},{fmt(r.loss)},{fmt(r.uniformity)},{fmt(r.alignment)},"
-                f"{fmt(r.tolerance)},{fmt(r.interclass_uniformity)},{fmt(r.knn_top1)}"
-            )
+        rows += [f"{prefix},ok,{metrics_mod.metrics_csv_row(r)}" for r in reports]
 
     sweep_dir.mkdir(parents=True, exist_ok=True)
     csv_path = sweep_dir / "sweep.csv"

@@ -15,7 +15,7 @@ Every metric that looks at pairs walks row chunks of its Gram matrix
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -219,17 +219,18 @@ def pair_histograms(batch: EmbeddingBatch) -> Histogram:
     return Histogram(bin_edges=edges, counts=counts)
 
 
-METRICS_CSV_HEADER = "epoch,loss,uniformity,alignment,tolerance,interclass_uniformity,knn_top1"
+METRICS_CSV_HEADER = ",".join(f.name for f in fields(MetricsReport))
+
+
+def metrics_csv_row(report: MetricsReport) -> str:
+    """`report` as a metrics.csv row: the epoch, then each metric in `fmt` form."""
+    return ",".join([str(report.epoch)] + [fmt(getattr(report, f.name)) for f in fields(report)[1:]])
 
 
 def write_metrics_csv(path: str | Path, reports: Sequence[MetricsReport]) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(METRICS_CSV_HEADER + "\n")
-        for r in reports:
-            fh.write(
-                f"{r.epoch},{fmt(r.loss)},{fmt(r.uniformity)},{fmt(r.alignment)},"
-                f"{fmt(r.tolerance)},{fmt(r.interclass_uniformity)},{fmt(r.knn_top1)}\n"
-            )
+        fh.writelines(metrics_csv_row(r) + "\n" for r in reports)
 
 
 def write_histogram_csv(path: str | Path, hist: Histogram) -> None:

@@ -52,7 +52,6 @@ PROFILE_FORMS = {
     "exponential": ProfileForm(("exponential", "exp"), ("tau_min", "tau_max", "sharpness"), 2),
     "monotonic_cosine": ProfileForm(("monotonic", "monotonic_cosine"), ("tau_min", "tau_max"), 2),
 }
-PROFILE_NAMES = tuple(name for form in PROFILE_FORMS.values() for name in form.names)
 
 
 def variant_named(name: str) -> str:

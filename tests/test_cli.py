@@ -107,6 +107,21 @@ def test_malformed_config_value_exit_1(tmp_path, capsys, command, payload):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize(
+    "content",
+    [b"{", b'{"config_version": 1, "seed": ' + b"1" * 4301 + b"}", b"[" * 100_000, b'{"seed": "\xff"}'],
+    ids=["truncated", "int-of-4301-digits", "nested-too-deep", "not-utf-8"],
+)
+def test_malformed_json_exit_1(tmp_path, capsys, command, content):
+    config_path = tmp_path / "config.json"
+    config_path.write_bytes(content)
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out-dir", str(out_dir)]) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(f"error: {config_path} is not valid JSON:")
+    assert not out_dir.exists()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("path", ["encoder.init_scale", "optimizer.lr"])
 def test_diverging_run_exit_2(tmp_path, capsys, path):
@@ -136,16 +151,7 @@ def test_profile_field_its_variant_ignores_exit_1(tmp_path, capsys, profile):
 class TestTempProfile:
     def test_csv_output(self, tmp_path, capsys):
         out = tmp_path / "profile.csv"
-        code = main(
-            [
-                "temp-profile",
-                "--variant", "cosine",
-                "--tmin", "0.1",
-                "--tmax", "0.2",
-                "--samples", "5",
-                "--out", str(out),
-            ]
-        )
+        code = main(["temp-profile", "--profile", "cosine:0.1:0.2", "--samples", "5", "--out", str(out)])
         assert code == EXIT_OK
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "s,tau"
@@ -154,43 +160,34 @@ class TestTempProfile:
         assert float(first[0]) == -1.0 and abs(float(first[1]) - 0.2) < 1e-12
 
     def test_shifted_arguments(self, tmp_path):
-        out = tmp_path / "p.csv"
-        code = main(
-            [
-                "temp-profile",
-                "--variant", "shifted",
-                "--tmin", "0.1",
-                "--tmax", "0.2",
-                "--shift", "-0.4",
-                "--scale", "0.7",
-                "--samples", "11",
-                "--out", str(out),
-            ]
-        )
-        assert code == EXIT_OK
+        from dystress.temperature import TemperatureProfile, write_profile_csv
+
+        out, expected = tmp_path / "p.csv", tmp_path / "expected.csv"
+        argv = ["temp-profile", "--profile", "shifted:0.1:0.2:-0.4:0.7", "--samples", "11", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        write_profile_csv(expected, TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7), 11)
+        assert out.read_bytes() == expected.read_bytes()
 
     def test_invalid_range_exit_1(self, tmp_path):
         code = main(
-            [
-                "temp-profile",
-                "--variant", "cosine",
-                "--tmin", "0.3",
-                "--tmax", "0.2",
-                "--samples", "5",
-                "--out", str(tmp_path / "x.csv"),
-            ]
+            ["temp-profile", "--profile", "cosine:0.3:0.2", "--samples", "5", "--out", str(tmp_path / "x.csv")]
         )
         assert code == EXIT_VALIDATION
 
-
     @pytest.mark.parametrize(
-        "variant, option", [("cosine", "--shift"), ("linear", "--sharpness"), ("exp", "--scale")]
+        "spec, message",
+        [
+            ("cosine:0.1:0.2:0.5", "cosine takes the values tau_min:tau_max, got 3"),
+            ("linear:0.1:0.2:3", "linear takes the values tau_min:tau_max, got 3"),
+            ("sinusoid:0.1:0.2", "unknown profile name 'sinusoid'"),
+        ],
+        ids=["cosine-extra-value", "linear-extra-value", "unknown-name"],
     )
-    def test_option_its_variant_ignores_exit_1(self, tmp_path, capsys, variant, option):
+    def test_bad_spec_exit_1(self, tmp_path, capsys, spec, message):
         out = tmp_path / "x.csv"
-        argv = ["temp-profile", "--variant", variant, "--tmin", "0.1", "--tmax", "0.2", option, "0.5"]
-        assert main(argv + ["--samples", "5", "--out", str(out)]) == EXIT_VALIDATION
-        assert f"takes no {option[2:]}" in capsys.readouterr().err
+        assert main(["temp-profile", "--profile", spec, "--samples", "5", "--out", str(out)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
         assert not out.exists()
 
 
@@ -272,8 +269,13 @@ class TestSimulateAndMetrics:
         out_dir = tmp_path / "run"
         code = main(["simulate", "--config", str(config_path), "--out-dir", str(out_dir)])
         assert code == EXIT_OK
-        assert (out_dir / "metrics.csv").exists()
-        assert "final epoch 2" in capsys.readouterr().out
+        header, *rows = (out_dir / "metrics.csv").read_text().splitlines()
+        last = rows[-1].split(",")
+        final = capsys.readouterr().out.splitlines()[-1]
+        assert final.startswith(f"final epoch {last[0]}: ") and last[0] == "2"
+        # each metric printed exactly as its cell in the last metrics.csv row
+        printed = dict(item.split("=") for item in final.split(": ", 1)[1].split())
+        assert printed == dict(zip(header.split(",")[1:], last[1:]))
 
     def test_simulate_determinism_byte_identical(self, tmp_path):
         config_path = write_config(tmp_path, TINY_CONFIG)
@@ -325,6 +327,24 @@ class TestSimulateAndMetrics:
         dump.write_text("\n".join(lines) + "\n")
         assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
         assert "not unit norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        ["{", "[1, 2]", '"text"', '{"view": "a", "z": [1.0]}', '{"id": "s0", "z": [1.0]}', '{"id": "s0", "view": "a"}'],
+        ids=["not-json", "list", "string", "no-id", "no-view", "no-z"],
+    )
+    def test_metrics_malformed_dump_line_exit_1(self, tmp_path, capsys, line):
+        from conftest import random_batch
+        from dystress.geometry import write_embedding_dump
+        from dystress.numeric import Rng
+
+        dump = tmp_path / "dump.jsonl"
+        write_embedding_dump(dump, random_batch(Rng(4), 3, 4))
+        lines = dump.read_text().splitlines()
+        lines[1] = line
+        dump.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("error: bad embedding record on line 2:")
 
     def test_unknown_config_field_exit_1(self, tmp_path):
         config_path = write_config(tmp_path, {**TINY_CONFIG, "typo_field": 1})

@@ -1,5 +1,6 @@
 """Harness tests: config schema, experiment runs, determinism, sweeps."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -13,6 +14,7 @@ from dystress import harness, numeric
 from dystress.errors import NumericError, ValidationError
 from dystress.harness import (
     ExperimentConfig,
+    SWEEP_CSV_HEADER,
     SweepSpec,
     config_from_dict,
     metrics_from_dump,
@@ -473,13 +475,17 @@ class TestSweep:
 
         csv_path = run_sweep(PatchedSweep(base=base), sweep_dir=tmp_path)
         lines = csv_path.read_text().strip().splitlines()
-        assert lines[0].startswith("config_index,profile,lr,seed,status")
+        assert lines[0] == SWEEP_CSV_HEADER == (
+            "config_index,profile,lr,seed,status,"
+            "epoch,loss,uniformity,alignment,tolerance,interclass_uniformity,knn_top1"
+        )
         ok_rows = [l for l in lines[1:] if ",ok," in l]
         error_rows = [l for l in lines[1:] if "error: NumericError" in l]
         assert len(ok_rows) == 2  # evals at epoch 0 and the final epoch 1
         assert len(error_rows) == 1
-        # failed row keeps the full column count
-        assert error_rows[0].count(",") == lines[0].count(",")
+        # every row, the failed one too, has one cell per header column
+        for row in csv.reader(lines[1:]):
+            assert len(row) == len(SWEEP_CSV_HEADER.split(","))
 
     def test_sweep_from_dict_schema(self):
         raw = {
