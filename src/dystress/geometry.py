@@ -55,6 +55,12 @@ def strip_diagonal(m: np.ndarray) -> np.ndarray:
     return m[mask].reshape(n, n - 1)
 
 
+def cross_tile(rows, view_a, view_b, out=None):
+    """Rows `rows` of the similarities a.b^T of two sets of unit rows, clamped to [-1, 1]."""
+    tile = np.matmul(view_a[rows], view_b.T, out=out)
+    return np.clip(tile, -1.0, 1.0, out=tile)
+
+
 class PairKind(IntEnum):
     TRUE_POSITIVE = 0
     FALSE_NEGATIVE = 1
@@ -229,6 +235,7 @@ def write_embedding_dump(path: str | Path, batch: EmbeddingBatch) -> None:
 def read_embedding_dump(path: str | Path) -> EmbeddingBatch:
     """Inverse of write_embedding_dump; pairs records by id across views."""
     by_view: dict[str, dict[str, tuple]] = {"a": {}, "b": {}}  # id -> (z, label)
+    dim = None  # the first record's z length, which every z must have
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -237,11 +244,19 @@ def read_embedding_dump(path: str | Path) -> EmbeddingBatch:
             try:  # a KeyError names the missing field
                 record = json.loads(line)
                 view, sample_id, z = record["view"], str(record["id"]), record["z"]
-            except (KeyError, TypeError, ValueError) as err:
+                if not isinstance(z, list):  # float() of each character of a string would pass
+                    raise TypeError(f"z must be a list of numbers, not {type(z).__name__}")
+                z = [float(x) for x in z]
+                label = record.get("label")
+                label = None if label is None else np.int64(int(label))  # OverflowError beyond int64
+                dim = len(z) if dim is None else dim
+                if len(z) != dim:
+                    raise ValueError(f"z has {len(z)} coordinates, the first record's has {dim}")
+            except (KeyError, TypeError, ValueError, OverflowError) as err:
                 raise ValidationError(f"bad embedding record on line {line_no}: {err}") from err
             if view not in ("a", "b"):
                 raise ValidationError(f"line {line_no}: view must be 'a' or 'b'")
-            by_view[view][sample_id] = (z, record.get("label"))
+            by_view[view][sample_id] = (z, label)
     ids = sorted(by_view["a"])
     if ids != sorted(by_view["b"]):
         raise ValidationError("embedding dump has unpaired views")

@@ -18,6 +18,7 @@ processes, each evaluating inline. No bit of the artifacts depends on these.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import os
 from collections import deque
@@ -367,23 +368,16 @@ class SweepSpec:
             raise ValidationError(
                 f"sweep expands to {total} configs, above the cap of {self.max_configs}"
             )
-        configs = []
-        index = 0
-        for profile in profiles:
-            for lr in lrs:
-                for seed in seeds:
-                    out = None if sweep_dir is None else Path(sweep_dir) / f"run_{index:03d}"
-                    configs.append(
-                        replace(
-                            self.base,
-                            profile=profile,
-                            optimizer=replace(self.base.optimizer, lr=lr),
-                            seed=seed,
-                            out_dir=out,
-                        )
-                    )
-                    index += 1
-        return configs
+        return [
+            replace(
+                self.base,
+                profile=profile,
+                optimizer=replace(self.base.optimizer, lr=lr),
+                seed=seed,
+                out_dir=None if sweep_dir is None else Path(sweep_dir) / f"run_{index:03d}",
+            )
+            for index, (profile, lr, seed) in enumerate(itertools.product(profiles, lrs, seeds))
+        ]
 
 
 def sweep_from_dict(raw: dict) -> SweepSpec:

@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BatchTooSmallError, NumericError, ValidationError
-from .geometry import EmbeddingBatch, LogitsBlock
+from .geometry import EmbeddingBatch, LogitsBlock, cross_tile
 from .numeric import row_chunks, row_log_sum_exp, row_sums, stable_row_softmax
 from .temperature import TemperatureProfile
 
@@ -50,12 +50,6 @@ class GradientBundle:
 
     loss: float
     dL_dz: np.ndarray  # 2N x D displacement vectors (view-a rows first)
-
-
-def _cross_tile(rows, view_a, view_b, out=None):
-    """Rows `rows` of a.b^T, clamped to [-1, 1]."""
-    tile = np.matmul(view_a[rows], view_b.T, out=out)
-    return np.clip(tile, -1.0, 1.0, out=tile)
 
 
 def _packed_tile(rows, view_a, view_b, out=None):
@@ -88,11 +82,11 @@ def _fold_chunk(rows, view_a, view_b, profile, frozen_at, shift, sums, positive,
     # their 1/tau; the packed tile takes over the cross tile once its sums are
     # out, and e_b takes over the packed tile's 1/tau
     factors = []
-    for build in (_cross_tile, _packed_tile):
+    for build in (cross_tile, _packed_tile):
         s = build(rows, view_a, view_b, out=e_cross if mode is None and build is _packed_tile else None)
         inv_tau = profile.tau_in_place(s.copy() if frozen_at is None else build(rows, *frozen_at))
         np.divide(1.0, inv_tau, out=inv_tau)
-        if build is _cross_tile:
+        if build is cross_tile:
             positive[rows] = np.diagonal(s[:, rows]) * np.diagonal(inv_tau[:, rows])
         if mode is LossMode.COUPLED:
             # (tau - s dtau) / tau^2 as (1 - s dtau / tau) / tau, before the exps
@@ -103,7 +97,7 @@ def _fold_chunk(rows, view_a, view_b, profile, frozen_at, shift, sums, positive,
         s *= inv_tau
         s -= shift
         np.exp(s, out=s)
-        if build is _cross_tile:
+        if build is cross_tile:
             e_cross, inv_tau = s, None
             cross_rows, cross_columns = row_sums(e_cross), e_cross.sum(axis=0)
     # e_b keeps what lies left of the diagonal, e_a what lies right of it; every

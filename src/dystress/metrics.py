@@ -24,7 +24,7 @@ import numpy as np
 from . import numeric
 from .errors import NumericError, ValidationError, check_float, check_int
 from .numeric import fmt, row_chunks
-from .geometry import EmbeddingBatch, PairKind
+from .geometry import EmbeddingBatch, PairKind, cross_tile
 
 DEFAULT_KNN_K = 20
 DEFAULT_KNN_WEIGHT_TEMPERATURE = 0.07
@@ -138,8 +138,7 @@ def _nearest(test_points: np.ndarray, train_points: np.ndarray, k: int):
     k are selected around the k-th value, and only they are sorted.
     """
     for start, stop in row_chunks(test_points.shape[0], train_points.shape[0]):
-        neg_sims = test_points[start:stop] @ train_points.T
-        np.clip(neg_sims, -1.0, 1.0, out=neg_sims)
+        neg_sims = cross_tile(slice(start, stop), test_points, train_points)
         np.negative(neg_sims, out=neg_sims)
         kth = np.partition(neg_sims, k - 1, axis=1)[:, [k - 1]]  # a copy, so the partition goes
         if np.isnan(kth).any():

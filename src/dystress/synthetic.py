@@ -21,7 +21,7 @@ from .errors import ValidationError, check_float, check_int
 from .geometry import l2_normalize, unit_rows
 from .numeric import Rng
 
-HOLDOUT_STRIDE = 5  # `holdout_split` holds out about a fifth of each class
+HOLDOUT_STRIDE = 5  # the test splits hold about a fifth of each class
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,8 @@ def generate(spec: SyntheticSpec, seed: int) -> Dataset:
 
 
 def generate_eval_split(spec: SyntheticSpec, centers: np.ndarray, rng: Rng) -> Dataset:
-    """Fresh draws around the same centers for probing; ~M/5 per class."""
-    sizes = [max(1, m // 5) for m in spec.class_sizes()]
+    """Fresh draws around the same centers for probing; ~M/HOLDOUT_STRIDE per class."""
+    sizes = [max(1, m // HOLDOUT_STRIDE) for m in spec.class_sizes()]
     return sample_class_points(centers, sizes, spec.intra_class_sigma, rng, id_prefix="t")
 
 

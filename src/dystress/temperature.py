@@ -1,12 +1,12 @@
 """Similarity-dependent temperature profiles and the ODE slope verifier.
 
-The vanilla profile is a cosine of the cosine similarity with minimum
-tau_min at s = 0 and maximum tau_max at s = +-1. Shifted variants move the
-minimum along the similarity axis and rescale the period so the extremes
-keep tau_max; they are implemented exactly as printed in their source
-algorithm, including the branch that pins tau to tau_max outside the cosine
-window. Linear / exponential / monotonic-cosine variants share the same
-[tau_min, tau_max] range contract.
+The three cosine variants are one formula over the cosine similarity s,
+tau_min + 0.5 dt (1 + sign cos((pi / k) (ds + s))) with dt = tau_max - tau_min,
+where (ds, k, sign) is (1, 1, +1) for the vanilla profile (tau_min at s = 0,
+tau_max at s = +-1), (1, 2, -1) for the monotonic one and (shift, scale, +1)
+for the shifted one. The shifted profile moves the minimum and rescales the
+period; as printed in its source algorithm, it is pinned to tau_max outside
+its cosine window. Linear and exponential variants share the range contract.
 
 The verifier numerically differentiates the closed-form curve
 tau(s) = s / log(delta*K*s - c) and checks that the slope sign matches the
@@ -32,6 +32,8 @@ SLOPE_SIGN_EXCLUSION = 1e-3
 SCALE_RANGE = (1e-6, 2.0)  # pi / scale stays finite
 SHARPNESS_RANGE = (1e-6, 700.0)  # exp(-a) stays normal at the top
 TAU_MIN_FLOOR = 1.0 / 350.0  # exp(-2 / tau_min), the loss's smallest shifted exp, stays normal
+# (ds, k, sign, pinned) of the windowless cosine variants; cosine_shifted's are its own fields
+COSINE_FORMS = {"cosine_vanilla": (1.0, 1.0, 1.0, None), "monotonic_cosine": (1.0, 2.0, -1.0, None)}
 
 
 class ProfileForm(NamedTuple):
@@ -126,20 +128,29 @@ class TemperatureProfile:
 
     # -- evaluation --------------------------------------------------------
 
-    def _check_domain(self, s: np.ndarray) -> np.ndarray:
-        """A clipped float64 copy of s; DomainError if some |s| exceeds 1 by more than the slack."""
+    def _cosine(self, s: np.ndarray):
+        """(ds, k, sign, pinned) of a cosine variant's formula (see COSINE_FORMS), else None.
+
+        Only cosine_shifted pins entries to tau_max: the s outside its window, and NaN.
+        """
+        if self.variant != "cosine_shifted":
+            return COSINE_FORMS.get(self.variant)
+        ds = self.shift
+        return ds, self.scale, 1.0, ~(((ds <= 0) & (s <= -ds)) | ((ds >= 0) & (s >= -ds)))
+
+    def _on_domain(self, formula, s):
+        """`formula` of a clipped float64 copy of s, a float for a scalar s; DomainError if |s| > 1 + slack."""
+        scalar = np.isscalar(s) or np.ndim(s) == 0
         s = np.asarray(s, dtype=np.float64)
-        limit = 1.0 + DOMAIN_SLACK
-        if s.size and (s.min() < -limit or s.max() > limit):  # NaN passes, as it did
+        if s.size and (s.min() < -1.0 - DOMAIN_SLACK or s.max() > 1.0 + DOMAIN_SLACK):  # NaN passes
             bad = float(s.flat[int(np.argmax(np.abs(s)))])
             raise DomainError(f"cosine similarity {bad} outside [-1, 1]")
-        return np.clip(s, -1.0, 1.0, out=np.empty_like(s))
+        out = formula(np.clip(s, -1.0, 1.0, out=np.empty_like(s)))
+        return float(out) if scalar else out
 
     def tau(self, s):
         """Temperature per entry; accepts scalars or arrays, s in [-1, 1]."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        out = self.tau_in_place(self._check_domain(s))
-        return float(out) if scalar else out
+        return self._on_domain(self.tau_in_place, s)
 
     def tau_in_place(self, out: np.ndarray) -> np.ndarray:
         """Overwrite a float64 array of similarities, already clipped to [-1, 1], with tau.
@@ -150,31 +161,23 @@ class TemperatureProfile:
         dt = self.tau_max - self.tau_min
         if self.variant == "constant":
             out.fill(self.tau_min)
-        elif self.variant == "cosine_vanilla":
-            # tau_min + 0.5 dt (1 + cos(pi (1 + s)))
-            out += 1.0
-            out *= np.pi
-            np.cos(out, out=out)
-            out += 1.0
-            out *= 0.5 * dt
-            out += self.tau_min
-        elif self.variant == "cosine_shifted":
-            # tau_min + 0.5 dt (1 + cos((pi / k) (ds + s))) in the window, tau_max outside
-            ds, k = self.shift, self.scale
-            in_window = ((ds <= 0) & (out <= -ds)) | ((ds >= 0) & (out >= -ds))
+        elif (cosine := self._cosine(out)) is not None:
+            # tau_min + 0.5 dt (1 + sign cos((pi / k) (ds + s))), tau_max where pinned
+            ds, k, sign, pinned = cosine
             out += ds
             out *= np.pi / k
             np.cos(out, out=out)
-            out += 1.0
+            (np.subtract if sign < 0 else np.add)(1.0, out, out=out)  # 1 + sign cos, NaN keeps its sign
             out *= 0.5 * dt
             out += self.tau_min
-            np.copyto(out, self.tau_max, where=~in_window)
+            if pinned is not None:
+                np.copyto(out, self.tau_max, where=pinned)
         elif self.variant == "linear":
             # tau_min + dt |s|
             np.abs(out, out=out)
             out *= dt
             out += self.tau_min
-        elif self.variant == "exponential":
+        else:  # exponential
             # tau_min + dt exp(a (|s| - 1)) expm1(-a |s|) / expm1(-a): (exp(a|s|) - 1) /
             # (exp(a) - 1), scaled by exp(-a) so nothing overflows
             a = self.sharpness
@@ -189,40 +192,25 @@ class TemperatureProfile:
             out *= tail
             out /= math.expm1(-a)
             out += self.tau_min
-        else:  # monotonic_cosine
-            # tau_min + 0.5 dt (1 - cos(pi (1 + s) / 2))
-            out += 1.0
-            out *= np.pi
-            out /= 2.0
-            np.cos(out, out=out)
-            np.subtract(1.0, out, out=out)
-            out *= 0.5 * dt
-            out += self.tau_min
         # cos() round-off can leak a few ulp past the band
         return np.clip(out, self.tau_min, self.tau_max, out=out)
 
     def dtau_ds(self, s):
-        """Analytic derivative of tau w.r.t. s (sub-gradient 0 at kinks)."""
-        scalar = np.isscalar(s) or np.ndim(s) == 0
-        s = self._check_domain(s)
+        """Analytic derivative of tau w.r.t. s (sub-gradient 0 at kinks); accepts scalars or arrays."""
+        return self._on_domain(self._slope, s)
+
+    def _slope(self, s: np.ndarray):
         dt = self.tau_max - self.tau_min
         if self.variant == "constant":
-            out = np.zeros_like(s)
-        elif self.variant == "cosine_vanilla":
-            out = -0.5 * dt * np.pi * np.sin(np.pi * (1.0 + s))
-        elif self.variant == "cosine_shifted":
-            ds, k = self.shift, self.scale
-            in_window = ((ds <= 0) & (s <= -ds)) | ((ds >= 0) & (s >= -ds))
-            slope = -0.5 * dt * (np.pi / k) * np.sin((np.pi / k) * (ds + s))
-            out = np.where(in_window, slope, 0.0)
-        elif self.variant == "linear":
-            out = dt * np.sign(s)
-        elif self.variant == "exponential":
-            a = self.sharpness
-            out = dt * a * np.sign(s) * np.exp(a * (np.abs(s) - 1.0)) / -math.expm1(-a)
-        else:  # monotonic_cosine
-            out = 0.5 * dt * (np.pi / 2.0) * np.sin(np.pi * (1.0 + s) / 2.0)
-        return float(out) if scalar else out
+            return np.zeros_like(s)
+        if (cosine := self._cosine(s)) is not None:
+            ds, k, sign, pinned = cosine
+            out = -0.5 * sign * dt * (np.pi / k) * np.sin((np.pi / k) * (ds + s))
+            return out if pinned is None else np.where(pinned, 0.0, out)
+        if self.variant == "linear":
+            return dt * np.sign(s)
+        a = self.sharpness  # exponential
+        return dt * a * np.sign(s) * np.exp(a * (np.abs(s) - 1.0)) / -math.expm1(-a)
 
     # -- serialization -----------------------------------------------------
 

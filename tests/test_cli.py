@@ -41,6 +41,20 @@ def with_value(payload, path, value):
     return out
 
 
+def edited_dump(tmp_path, edit):
+    """An embedding dump of 3 samples in 4 dimensions whose second line is `edit` of its record."""
+    from conftest import random_batch
+    from dystress.geometry import write_embedding_dump
+    from dystress.numeric import Rng
+
+    dump = tmp_path / "dump.jsonl"
+    write_embedding_dump(dump, random_batch(Rng(4), 3, 4))
+    lines = dump.read_text().splitlines()
+    lines[1] = edit(json.loads(lines[1]))
+    dump.write_text("\n".join(lines) + "\n")
+    return dump
+
+
 NAN, INF = float("nan"), float("inf")
 TOO_BIG_FOR_A_DOUBLE = 10**400  # a JSON int of 401 digits; float() of it overflows
 MALFORMED_BASE = {**TINY_CONFIG, "profile": {"variant": "exponential", "tau_min": 0.1, "tau_max": 0.2}}
@@ -314,17 +328,11 @@ class TestSimulateAndMetrics:
             assert key in out
 
     def test_metrics_nan_coordinate_exit_1(self, tmp_path, capsys):
-        from conftest import random_batch
-        from dystress.geometry import write_embedding_dump
-        from dystress.numeric import Rng
+        def nan_coordinate(record):
+            record["z"][2] = NAN
+            return json.dumps(record)
 
-        dump = tmp_path / "dump.jsonl"
-        write_embedding_dump(dump, random_batch(Rng(4), 3, 4))
-        lines = dump.read_text().splitlines()
-        record = json.loads(lines[1])
-        record["z"][2] = NAN
-        lines[1] = json.dumps(record)
-        dump.write_text("\n".join(lines) + "\n")
+        dump = edited_dump(tmp_path, nan_coordinate)
         assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
         assert "not unit norm" in capsys.readouterr().err
 
@@ -334,17 +342,21 @@ class TestSimulateAndMetrics:
         ids=["not-json", "list", "string", "no-id", "no-view", "no-z"],
     )
     def test_metrics_malformed_dump_line_exit_1(self, tmp_path, capsys, line):
-        from conftest import random_batch
-        from dystress.geometry import write_embedding_dump
-        from dystress.numeric import Rng
-
-        dump = tmp_path / "dump.jsonl"
-        write_embedding_dump(dump, random_batch(Rng(4), 3, 4))
-        lines = dump.read_text().splitlines()
-        lines[1] = line
-        dump.write_text("\n".join(lines) + "\n")
+        dump = edited_dump(tmp_path, lambda record: line)
         assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
         assert capsys.readouterr().err.startswith("error: bad embedding record on line 2:")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("z", "abc"), ("z", "0100"), ("z", [0.6, 0.8, 0.0]), ("label", "x"), ("label", 2**63)],
+        ids=["z-string", "z-digit-string", "z-one-short", "label-string", "label-beyond-int64"],
+    )
+    def test_metrics_bad_dump_value_exit_1(self, tmp_path, capsys, field, value):
+        dump = edited_dump(tmp_path, lambda record: json.dumps({**record, field: value}))
+        assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad embedding record on line 2:")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unknown_config_field_exit_1(self, tmp_path):
         config_path = write_config(tmp_path, {**TINY_CONFIG, "typo_field": 1})

@@ -436,16 +436,19 @@ class TestMetricsFromDump:
 
 
 class TestSweep:
-    def test_expand_cartesian_product(self):
-        base = tiny_config()
-        sweep = SweepSpec(
-            base=base,
-            profiles=[TemperatureProfile.constant(0.1), TemperatureProfile.cosine_vanilla(0.1, 0.2)],
-            seeds=[0, 1, 2],
-        )
+    def test_expand_cartesian_product(self, tmp_path):
+        profiles = [TemperatureProfile.constant(0.1), TemperatureProfile.cosine_vanilla(0.1, 0.2)]
+        sweep = SweepSpec(base=tiny_config(), profiles=profiles, lrs=[0.5, 0.25], seeds=[0, 1, 2])
         configs = sweep.expand(None)
-        assert len(configs) == 6
+        assert len(configs) == 12
         assert {c.seed for c in configs} == {0, 1, 2}
+        assert all(c.out_dir is None for c in configs)
+        # profile outermost, then lr, then seed; run directories count up in that order
+        runs = [(p, lr, seed) for p in profiles for lr in (0.5, 0.25) for seed in (0, 1, 2)]
+        expected = [(*run, tmp_path / f"run_{i:03d}") for i, run in enumerate(runs)]
+        assert expected[3] == (profiles[0], 0.25, 0, tmp_path / "run_003")
+        configs = sweep.expand(tmp_path)
+        assert [(c.profile, c.optimizer.lr, c.seed, c.out_dir) for c in configs] == expected
 
     def test_empty_overrides_single_run(self):
         sweep = SweepSpec(base=tiny_config())

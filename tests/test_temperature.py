@@ -63,6 +63,34 @@ def unclipped_tau(profile, s):
     return profile.tau_min + 0.5 * dt * (1.0 - np.cos(np.pi * (1.0 + s) / 2.0))
 
 
+def unclipped_dtau(profile, s):
+    """Each variant's derivative written out on its own, in the operation order `dtau_ds` keeps."""
+    dt = profile.tau_max - profile.tau_min
+    if profile.variant == "constant":
+        return np.zeros_like(s)
+    if profile.variant == "cosine_vanilla":
+        return -0.5 * dt * np.pi * np.sin(np.pi * (1.0 + s))
+    if profile.variant == "cosine_shifted":
+        ds, k = profile.shift, profile.scale
+        in_window = ((ds <= 0) & (s <= -ds)) | ((ds >= 0) & (s >= -ds))
+        return np.where(in_window, -0.5 * dt * (np.pi / k) * np.sin((np.pi / k) * (ds + s)), 0.0)
+    if profile.variant == "linear":
+        return dt * np.sign(s)
+    if profile.variant == "exponential":
+        a = profile.sharpness
+        return dt * a * np.sign(s) * np.exp(a * (np.abs(s) - 1.0)) / -math.expm1(-a)
+    assert profile.variant == "monotonic_cosine"
+    return 0.5 * dt * (np.pi / 2.0) * np.sin(np.pi * (1.0 + s) / 2.0)
+
+
+def window_edge_grid(profile):
+    """An even grid over [-1, 1], plus each cosine window edge inside it and the doubles beside it."""
+    edges = [-1.0, 1.0, -profile.shift, -profile.shift - profile.scale, -profile.shift + profile.scale]
+    edges = np.array([e for e in edges if -1.0 <= e <= 1.0])
+    s = np.linspace(-1.0, 1.0, 20001)
+    return np.clip(np.concatenate([s, edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0)]), -1.0, 1.0)
+
+
 class TestTau:
     def test_vanilla_endpoints_and_minimum(self):
         p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
@@ -155,6 +183,13 @@ class TestTau:
         ulp = 4 * np.spacing(profile.tau_max)  # the larger of the two ends' ulp
         assert np.all(reference >= profile.tau_min - ulp), reference.min() - profile.tau_min
         assert np.all(reference <= profile.tau_max + ulp), reference.max() - profile.tau_max
+
+    @pytest.mark.parametrize("profile", CLIP_PROFILES, ids=lambda p: p.spec_string())
+    def test_dtau_ds_bits(self, profile):
+        # COUPLED training multiplies by these slopes, so their bits are pinned, window edges included
+        s = window_edge_grid(profile)
+        assert np.array_equal(profile.dtau_ds(s), unclipped_dtau(profile, s))
+        assert profile.dtau_ds(s[-1]) == unclipped_dtau(profile, s[-1:])[0]  # a scalar s takes the same path
 
     def test_domain_error_beyond_slack(self):
         p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
