@@ -3,9 +3,11 @@
 Affine layers with an elementwise nonlinearity between them (none after the
 last affine layer) and a final row-wise L2 normalization. The normalization
 Jacobian (I - zz^T)/|y| is applied here, so the loss module can treat
-embeddings as free points. SGD with momentum and weight decay is the only
-optimizer; defaults follow the usual contrastive pre-training recipe
-(momentum 0.9, weight decay 5e-4).
+embeddings as free points. Parameters, their gradient and the SGD velocity
+share one flat layout: for each layer its weights (out x in, row-major),
+then its biases. SGD with momentum and weight decay is the only optimizer;
+defaults follow the usual contrastive pre-training recipe (momentum 0.9,
+weight decay 5e-4).
 """
 
 from __future__ import annotations
@@ -47,58 +49,82 @@ class EncoderSpec:
     def num_layers(self) -> int:
         return len(self.layer_widths) - 1
 
+    @property
+    def num_params(self) -> int:
+        return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(self.layer_widths, self.layer_widths[1:]))
+
+
+def _layer_views(spec: EncoderSpec, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per-layer weight matrices (out x in) and bias vectors as views into `flat`."""
+    weights, biases, pos = [], [], 0
+    for fan_in, fan_out in zip(spec.layer_widths, spec.layer_widths[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        biases.append(flat[pos + fan_out * fan_in : pos + fan_out * (fan_in + 1)])
+        pos += fan_out * (fan_in + 1)
+    return weights, biases
+
 
 @dataclass
 class EncoderParams:
-    """Per-layer weight matrices (out x in) and bias vectors, checked when built.
+    """All parameters in one vector `flat`, layer by layer: weights (out x in,
+    row-major), then biases. `weights` and `biases` are per-layer views into it.
 
-    A non-finite value written in place later, as `sgd_step` writes, makes
-    `encode` raise NumericError for its layer.
+    Checked when built. A non-finite value written in place later, as
+    `sgd_step` writes, makes `encode` raise NumericError for its layer.
     """
 
     spec: EncoderSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        widths = self.spec.layer_widths
-        if len(self.weights) != self.spec.num_layers or len(self.biases) != self.spec.num_layers:
-            raise ValidationError("parameter count does not match the spec")
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)  # views need one block
+        if self.flat.shape != (self.spec.num_params,):
+            raise ValidationError(f"parameter vector has shape {self.flat.shape}, not ({self.spec.num_params},)")
+        self.weights, self.biases = _layer_views(self.spec, self.flat)
         for l, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if w.shape != (widths[l + 1], widths[l]) or b.shape != (widths[l + 1],):
-                raise ValidationError(f"layer {l} parameter shapes do not match the spec")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise NumericError(f"layer {l} parameters contain non-finite values")
 
+    @classmethod
+    def from_layers(cls, spec: EncoderSpec, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
+        """Parameters copied from per-layer weight matrices (out x in) and bias vectors."""
+        widths = spec.layer_widths
+        if len(weights) != spec.num_layers or len(biases) != spec.num_layers:
+            raise ValidationError("parameter count does not match the spec")
+        for l, (w, b) in enumerate(zip(weights, biases)):
+            if np.shape(w) != (widths[l + 1], widths[l]) or np.shape(b) != (widths[l + 1],):
+                raise ValidationError(f"layer {l} parameter shapes do not match the spec")
+        return cls(spec, np.concatenate([np.concatenate([np.ravel(w), b]) for w, b in zip(weights, biases)]))
+
 
 def init_params(spec: EncoderSpec, rng: Rng) -> EncoderParams:
-    """Weights ~ Normal(0, init_scale / sqrt(fan_in)), biases zero."""
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        std = spec.init_scale / np.sqrt(fan_in)
-        weights.append(std * rng.normal((fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return EncoderParams(spec=spec, weights=weights, biases=biases)
+    """Weights ~ Normal(0, init_scale / sqrt(fan_in)), drawn layer by layer; biases zero."""
+    params = EncoderParams(spec, np.zeros(spec.num_params))
+    for w in params.weights:
+        w[...] = spec.init_scale / np.sqrt(w.shape[1]) * rng.normal(w.shape)
+    return params
 
 
-@dataclass
+@dataclass(frozen=True)
 class ForwardCache:
-    """Activations remembered by encode() for the matching backward()."""
+    """What backward() reads of an encode() pass."""
 
-    inputs: list[np.ndarray] = field(default_factory=list)  # input to each affine layer
-    pre_activations: list[np.ndarray] = field(default_factory=list)
-    norms: np.ndarray | None = None
-    unit_output: np.ndarray | None = None
+    inputs: list[np.ndarray]  # input to each affine layer
+    norms: np.ndarray  # row norms before the final normalization
+    unit_output: np.ndarray
 
 
 def _activate(spec: EncoderSpec, a: np.ndarray) -> np.ndarray:
     return np.tanh(a) if spec.nonlinearity == "tanh" else np.maximum(a, 0.0)
 
 
-def _activation_grad(spec: EncoderSpec, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+def _activation_grad(spec: EncoderSpec, post: np.ndarray) -> np.ndarray:
+    """Slope from the activation's output: relu's post > 0 is pre > 0 for finite pre."""
     if spec.nonlinearity == "tanh":
         return 1.0 - post**2
-    return (pre > 0).astype(np.float64)  # subgradient at 0 is 0
+    return (post > 0).astype(np.float64)  # subgradient at 0 is 0
 
 
 def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
@@ -108,38 +134,31 @@ def encode(params: EncoderParams, inputs: np.ndarray) -> tuple[np.ndarray, Forwa
     Parameters are checked when built; raises NumericError naming the layer
     if activations go non-finite, as a non-finite weight or bias makes them.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.layer_widths[0]:
-        raise ValidationError(
-            f"inputs must be B x {params.spec.layer_widths[0]}, got {x.shape}"
-        )
-    cache = ForwardCache()
-    h = x
+    h = np.asarray(inputs, dtype=np.float64)  # the input to each layer in turn
+    if h.ndim != 2 or h.shape[1] != params.spec.layer_widths[0]:
+        raise ValidationError(f"inputs must be B x {params.spec.layer_widths[0]}, got {h.shape}")
+    layer_inputs = []
     last = params.spec.num_layers - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        cache.inputs.append(h)
+        layer_inputs.append(h)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
             pre = h @ w.T + b
         if not np.all(np.isfinite(pre)):
             raise NumericError(f"non-finite activations in layer {l}")
-        cache.pre_activations.append(pre)
         h = pre if l == last else _activate(params.spec, pre)
-    cache.norms = np.linalg.norm(h, axis=1)
-    z = unit_rows(h, cache.norms)
-    cache.unit_output = z
-    return z, cache
+    norms = np.linalg.norm(h, axis=1)
+    z = unit_rows(h, norms)
+    return z, ForwardCache(layer_inputs, norms, z)
 
 
-def backward(
-    params: EncoderParams, cache: ForwardCache, dL_dz: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Parameter gradients [(dW, db) per layer] for gradients at the unit outputs.
+def backward(params: EncoderParams, cache: ForwardCache, dL_dz: np.ndarray) -> np.ndarray:
+    """Parameter gradient, laid out like `params.flat`, for gradients at the unit outputs.
 
     Starts with the normalization Jacobian (I - zz^T)/|y| at the output
     layer, then standard backprop through the affine/nonlinear stack.
     Parameters are not checked again: `EncoderParams` did when they were built.
     """
-    if cache.unit_output is None or len(cache.inputs) != params.spec.num_layers:
+    if len(cache.inputs) != params.spec.num_layers:
         raise ValidationError("cache does not match this parameter set")
     g_z = np.asarray(dL_dz, dtype=np.float64)
     z = cache.unit_output
@@ -147,16 +166,17 @@ def backward(
         raise ValidationError(f"dL_dz shape {g_z.shape} does not match outputs {z.shape}")
     radial = row_sums(z * g_z)[:, None]
     g = (g_z - radial * z) / cache.norms[:, None]
-    grads: list[tuple[np.ndarray, np.ndarray]] = [(None, None)] * params.spec.num_layers
+    grad = np.empty(params.spec.num_params)
+    grad_w, grad_b = _layer_views(params.spec, grad)
     last = params.spec.num_layers - 1
     for l in range(last, -1, -1):
         if l != last:
-            post = cache.inputs[l + 1]  # input of layer l+1 is layer l's activation
-            g = g * _activation_grad(params.spec, cache.pre_activations[l], post)
-        grads[l] = (g.T @ cache.inputs[l], g.sum(axis=0))
+            g = g * _activation_grad(params.spec, cache.inputs[l + 1])  # layer l's activation
+        np.matmul(g.T, cache.inputs[l], out=grad_w[l])
+        np.sum(g, axis=0, out=grad_b[l])
         if l > 0:
             g = g @ params.weights[l]
-    return grads
+    return grad
 
 
 @dataclass(frozen=True)
@@ -175,69 +195,24 @@ class OptimizerSettings:
 
 @dataclass
 class OptimizerState:
-    """SGD with momentum: its settings and velocity buffers shaped like the parameters."""
+    """SGD with momentum: its settings and velocity, laid out like `EncoderParams.flat`."""
 
     settings: OptimizerSettings
-    velocities: list[tuple[np.ndarray, np.ndarray]]
+    velocity: np.ndarray
 
 
 def init_optimizer(params: EncoderParams, settings: OptimizerSettings) -> OptimizerState:
-    velocities = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(params.weights, params.biases)]
-    return OptimizerState(settings, velocities)
+    return OptimizerState(settings, np.zeros_like(params.flat))
 
 
-def sgd_step(
-    params: EncoderParams,
-    grads: Sequence[tuple[np.ndarray, np.ndarray]],
-    state: OptimizerState,
-) -> None:
-    """v <- momentum*v + g + weight_decay*w;  w <- w - lr*v. In place."""
-    if len(grads) != len(state.velocities):
-        raise ValidationError("gradient count does not match optimizer state")
-    settings = state.settings
-    for l, (gw, gb) in enumerate(grads):
-        vw, vb = state.velocities[l]
-        w, b = params.weights[l], params.biases[l]
-        if gw.shape != w.shape or gb.shape != b.shape:
-            raise ValidationError(f"layer {l} gradient shapes do not match parameters")
-        vw *= settings.momentum
-        vw += gw + settings.weight_decay * w
-        vb *= settings.momentum
-        vb += gb + settings.weight_decay * b
-        w -= settings.lr * vw
-        b -= settings.lr * vb
-
-
-# -- parameter vector helpers (used by gradient checks) ----------------------
-
-
-def params_to_vector(params: EncoderParams) -> np.ndarray:
-    chunks = []
-    for w, b in zip(params.weights, params.biases):
-        chunks.append(w.ravel())
-        chunks.append(b.ravel())
-    return np.concatenate(chunks)
-
-
-def vector_to_params(spec: EncoderSpec, vec: np.ndarray) -> EncoderParams:
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(spec.layer_widths[:-1], spec.layer_widths[1:]):
-        weights.append(vec[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in).copy())
-        pos += fan_out * fan_in
-        biases.append(vec[pos : pos + fan_out].copy())
-        pos += fan_out
-    if pos != vec.size:
-        raise ValidationError("vector length does not match the spec")
-    return EncoderParams(spec=spec, weights=weights, biases=biases)
-
-
-def grads_to_vector(grads: Sequence[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    chunks = []
-    for gw, gb in grads:
-        chunks.append(gw.ravel())
-        chunks.append(gb.ravel())
-    return np.concatenate(chunks)
+def sgd_step(params: EncoderParams, grad: np.ndarray, state: OptimizerState) -> None:
+    """v <- momentum*v + g + weight_decay*w;  w <- w - lr*v. In place, on the flat layout."""
+    if grad.shape != params.flat.shape:
+        raise ValidationError(f"gradient shape {grad.shape} does not match parameters {params.flat.shape}")
+    settings, w, v = state.settings, params.flat, state.velocity
+    v *= settings.momentum
+    v += grad + settings.weight_decay * w
+    w -= settings.lr * v
 
 
 # -- checkpointing ------------------------------------------------------------
@@ -263,6 +238,5 @@ def load_checkpoint(path: str | Path) -> EncoderParams:
     flat = [np.array(w, dtype=np.float64) for w in payload["weights"]]
     if len(flat) != len(shapes) or any(w.size != rows * cols for w, (rows, cols) in zip(flat, shapes)):
         raise ValidationError(f"checkpoint weights do not match layer widths {spec.layer_widths}")
-    weights = [w.reshape(shape) for w, shape in zip(flat, shapes)]
     biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
-    return EncoderParams(spec=spec, weights=weights, biases=biases)
+    return EncoderParams.from_layers(spec, [w.reshape(shape) for w, shape in zip(flat, shapes)], biases)

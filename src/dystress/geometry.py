@@ -14,11 +14,11 @@ import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import BatchTooSmallError, DegenerateInputError, NumericError, ValidationError
+from .errors import BatchTooSmallError, DegenerateInputError, NumericError, ValidationError, check_int
 from .temperature import TemperatureProfile
 
 UNIT_NORM_TOL = 1e-9
@@ -232,31 +232,49 @@ def write_embedding_dump(path: str | Path, batch: EmbeddingBatch) -> None:
                 fh.write(json.dumps(record) + "\n")
 
 
-def read_embedding_dump(path: str | Path) -> EmbeddingBatch:
-    """Inverse of write_embedding_dump; pairs records by id across views."""
-    by_view: dict[str, dict[str, tuple]] = {"a": {}, "b": {}}  # id -> (z, label)
-    dim = None  # the first record's z length, which every z must have
+def check_label(value) -> int:
+    """A class label: an integer in the int64 range, so not 1.5, true or 2^63."""
+    return check_int("label", value, -(2**63), 2**63 - 1)
+
+
+def read_vector_records(path: str | Path, what: str, key: str, parse: Callable[[dict], tuple]) -> Iterator[tuple]:
+    """(record[key] as floats, *parse(record)) for each non-blank line of a JSON-lines file.
+
+    record[key] must be a list of numbers as long as the first record's. A line that
+    breaks this or that `parse` rejects raises "bad {what} record on line N: ...".
+    """
+    dim = None
     with Path(path).open("r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            try:  # a KeyError names the missing field
+            try:  # a KeyError names the missing field; a deeply nested line raises RecursionError
                 record = json.loads(line)
-                view, sample_id, z = record["view"], str(record["id"]), record["z"]
-                if not isinstance(z, list):  # float() of each character of a string would pass
-                    raise TypeError(f"z must be a list of numbers, not {type(z).__name__}")
-                z = [float(x) for x in z]
-                label = record.get("label")
-                label = None if label is None else np.int64(int(label))  # OverflowError beyond int64
-                dim = len(z) if dim is None else dim
-                if len(z) != dim:
-                    raise ValueError(f"z has {len(z)} coordinates, the first record's has {dim}")
-            except (KeyError, TypeError, ValueError, OverflowError) as err:
-                raise ValidationError(f"bad embedding record on line {line_no}: {err}") from err
-            if view not in ("a", "b"):
-                raise ValidationError(f"line {line_no}: view must be 'a' or 'b'")
-            by_view[view][sample_id] = (z, label)
+                vector = record[key]
+                if not isinstance(vector, list):  # float() of each character of a string would pass
+                    raise TypeError(f"{key} must be a list of numbers, not {type(vector).__name__}")
+                vector = [float(x) for x in vector]
+                dim = len(vector) if dim is None else dim
+                if len(vector) != dim:
+                    raise ValueError(f"{key} has {len(vector)} coordinates, the first record's has {dim}")
+                fields = parse(record)
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as err:
+                raise ValidationError(f"bad {what} record on line {line_no}: {err}") from err
+            yield (vector, *fields)
+
+
+def _dump_fields(record: dict) -> tuple[str, str, Optional[int]]:  # view, id, label
+    if record["view"] not in ("a", "b"):
+        raise ValueError(f"view must be 'a' or 'b', got {record['view']!r}")
+    return record["view"], str(record["id"]), None if record.get("label") is None else check_label(record["label"])
+
+
+def read_embedding_dump(path: str | Path) -> EmbeddingBatch:
+    """Inverse of write_embedding_dump; pairs records by id across views."""
+    by_view: dict[str, dict[str, tuple]] = {"a": {}, "b": {}}  # id -> (z, label)
+    for z, view, sample_id, label in read_vector_records(path, "embedding", "z", _dump_fields):
+        by_view[view][sample_id] = (z, label)
     ids = sorted(by_view["a"])
     if ids != sorted(by_view["b"]):
         raise ValidationError("embedding dump has unpaired views")

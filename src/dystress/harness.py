@@ -17,7 +17,6 @@ processes, each evaluating inline. No bit of the artifacts depends on these.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import os
@@ -35,7 +34,7 @@ from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import synthetic
 from .errors import NumericError, ValidationError, check_fields, check_int, from_section
-from .geometry import EmbeddingBatch, write_embedding_dump
+from .geometry import EmbeddingBatch, read_embedding_dump, write_embedding_dump
 from .numeric import MAX_SEED, Rng, fmt, retain_freed_memory, single_blas_thread
 from .temperature import TemperatureProfile
 
@@ -251,8 +250,7 @@ def _train_epoch(
             stacked = np.vstack([v1, v2])
             z, cache = enc.encode(params, stacked)
             bundle = loss_mod.grad_wrt_embeddings(z, config.profile, config.loss_mode)
-            grads = enc.backward(params, cache, bundle.dL_dz)
-            enc.sgd_step(params, grads, state)
+            enc.sgd_step(params, enc.backward(params, cache, bundle.dL_dz), state)
         except NumericError as err:
             raise NumericError(f"epoch {epoch}, step {step}: {err}") from err
 
@@ -298,9 +296,9 @@ def _run(
 
     def run_eval(epoch: int, with_histogram: bool) -> None:
         if pool is not None:  # on a frozen copy: training updates params in place meanwhile
+            frozen = enc.EncoderParams(params.spec, params.flat.copy())
             pending.append(pool.submit(
-                _eval_state,
-                config, copy.deepcopy(params), train_set, test_set, root_rng, epoch, with_histogram,
+                _eval_state, config, frozen, train_set, test_set, root_rng, epoch, with_histogram,
             ))
         else:
             keep(*_eval_state(config, params, train_set, test_set, root_rng, epoch, with_histogram))
@@ -484,8 +482,6 @@ def metrics_from_dump(path: str | Path, k: int = metrics_mod.DEFAULT_KNN_K) -> d
     view-a as the bank and view-b as queries. Label-dependent metrics are NaN
     when the dump carries no labels.
     """
-    from .geometry import read_embedding_dump
-
     batch = read_embedding_dump(path)
     out = {
         "uniformity": metrics_mod.uniformity(batch.view_a),

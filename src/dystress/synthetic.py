@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, check_float, check_int
-from .geometry import l2_normalize, unit_rows
+from .geometry import check_label, l2_normalize, read_vector_records, unit_rows
 from .numeric import Rng
 
 HOLDOUT_STRIDE = 5  # the test splits hold about a fifth of each class
@@ -161,24 +161,15 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    inputs, labels, ids = [], [], []
-    with Path(path).open("r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                inputs.append([float(v) for v in record["x"]])
-                labels.append(int(record["label"]))
-                ids.append(str(record["id"]))
-            except (KeyError, TypeError, ValueError) as err:
-                raise ValidationError(f"bad dataset record on line {line_no}: {err}") from err
-    if not inputs:
+    records = list(read_vector_records(
+        path, "dataset", "x", lambda record: (check_label(record["label"]), str(record["id"]))
+    ))
+    if not records:
         raise ValidationError(f"dataset file {path} is empty")
+    inputs, labels, ids = zip(*records)
     return Dataset(
         inputs=np.array(inputs, dtype=np.float64),
         labels=np.array(labels, dtype=np.int64),
         class_centers=None,
-        sample_ids=ids,
+        sample_ids=list(ids),
     )

@@ -317,6 +317,26 @@ class TestSimulateAndMetrics:
         )
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "x", "label": 9223372036854775808, "x": [0, 0, 0, 0, 0, 0]}',
+            '{"id": "x", "label": 1, "x": [0, 0, 0]}',
+            '{"id": "x", "label": 1, "x": "010101"}',
+            "[" * 100000,
+        ],
+        ids=["label-beyond-int64", "x-ragged", "x-string", "deep-nesting"],
+    )
+    def test_simulate_bad_dataset_record_exit_1(self, tmp_path, capsys, line):
+        data_path = tmp_path / "data.jsonl"
+        data_path.write_text('{"id": "a", "label": 0, "x": [1, 0, 0, 0, 0, 0]}\n' + line + "\n")
+        config_path = write_config(tmp_path, TINY_CONFIG)
+        argv = ["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "run")]
+        assert main(argv + ["--data", str(data_path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad dataset record on line 2:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_metrics_recompute(self, tmp_path, capsys):
         config_path = write_config(tmp_path, TINY_CONFIG)
         out_dir = tmp_path / "run"
@@ -338,8 +358,11 @@ class TestSimulateAndMetrics:
 
     @pytest.mark.parametrize(
         "line",
-        ["{", "[1, 2]", '"text"', '{"view": "a", "z": [1.0]}', '{"id": "s0", "z": [1.0]}', '{"id": "s0", "view": "a"}'],
-        ids=["not-json", "list", "string", "no-id", "no-view", "no-z"],
+        [
+            "{", "[1, 2]", '"text"', '{"view": "a", "z": [1.0]}', '{"id": "s0", "z": [1.0]}',
+            '{"id": "s0", "view": "a"}', "[" * 100000,
+        ],
+        ids=["not-json", "list", "string", "no-id", "no-view", "no-z", "deep-nesting"],
     )
     def test_metrics_malformed_dump_line_exit_1(self, tmp_path, capsys, line):
         dump = edited_dump(tmp_path, lambda record: line)
@@ -348,8 +371,14 @@ class TestSimulateAndMetrics:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("z", "abc"), ("z", "0100"), ("z", [0.6, 0.8, 0.0]), ("label", "x"), ("label", 2**63)],
-        ids=["z-string", "z-digit-string", "z-one-short", "label-string", "label-beyond-int64"],
+        [
+            ("z", "abc"), ("z", "0100"), ("z", [0.6, 0.8, 0.0]), ("label", "x"), ("label", 2**63),
+            ("label", 1.5), ("label", True), ("view", "c"),
+        ],
+        ids=[
+            "z-string", "z-digit-string", "z-one-short", "label-string", "label-beyond-int64",
+            "label-float", "label-bool", "view-unknown",
+        ],
     )
     def test_metrics_bad_dump_value_exit_1(self, tmp_path, capsys, field, value):
         dump = edited_dump(tmp_path, lambda record: json.dumps({**record, field: value}))

@@ -14,6 +14,24 @@ from dystress.temperature import TemperatureProfile
 COSINE = TemperatureProfile.cosine_vanilla(0.1, 0.2)
 
 
+def layers(spec, weights, biases):
+    return enc.EncoderParams.from_layers(spec, weights, biases)
+
+
+def flat_grad(gw, gb):
+    """A one-layer gradient in the flat layout: weights row-major, then biases."""
+    return np.concatenate([np.ravel(gw), gb])
+
+
+def pre_activations(params, x):
+    """Each affine layer's output for inputs x, as encode computes it (relu between layers)."""
+    out, h = [], x
+    for w, b in zip(params.weights, params.biases):
+        out.append(h @ w.T + b)
+        h = np.maximum(out[-1], 0.0)
+    return out
+
+
 def full_chain_check(spec, rng, mode=LossMode.DETACHED, n=4):
     """Relative error between backward() and finite differences of the
     loss-through-encoder scalar field over all parameters."""
@@ -22,8 +40,7 @@ def full_chain_check(spec, rng, mode=LossMode.DETACHED, n=4):
     if spec.nonlinearity == "relu":
         # keep pre-activations away from the kink; re-draw if any is close
         for _ in range(50):
-            _, cache = enc.encode(params, x)
-            gap = min(float(np.min(np.abs(p))) for p in cache.pre_activations)
+            gap = min(float(np.min(np.abs(p))) for p in pre_activations(params, x))
             if gap > 1e-4:
                 break
             x = rng.normal((2 * n, spec.layer_widths[0]))
@@ -31,29 +48,27 @@ def full_chain_check(spec, rng, mode=LossMode.DETACHED, n=4):
             raise AssertionError("could not find a kink-free input")
     z, cache = enc.encode(params, x)
     bundle = grad_wrt_embeddings(z, COSINE, mode)
-    grads = enc.backward(params, cache, bundle.dL_dz)
+    grad = enc.backward(params, cache, bundle.dL_dz)
     frozen_at = z if mode is LossMode.DETACHED else None
 
     def f(vec):
-        candidate = enc.vector_to_params(spec, vec)
-        zz, _ = enc.encode(candidate, x)
+        zz, _ = enc.encode(enc.EncoderParams(spec, vec), x)
         return loss_on_embeddings(zz, COSINE, frozen_at)
 
-    fd = finite_difference_grad(f, enc.params_to_vector(params))
-    return max_relative_error(enc.grads_to_vector(grads), fd)
+    return max_relative_error(grad, finite_difference_grad(f, params.flat))
 
 
 class TestEncode:
     def test_identity_layer_maps_unit_inputs_to_themselves(self):
         spec = enc.EncoderSpec((3, 3), "tanh")
-        params = enc.EncoderParams(spec, [np.eye(3)], [np.zeros(3)])
+        params = layers(spec, [np.eye(3)], [np.zeros(3)])
         x = np.array([[1.0, 0.0, 0.0], [0.0, 0.6, 0.8]])
         z, _ = enc.encode(params, x)
         assert np.allclose(z, x, atol=1e-12)
 
     def test_zero_weights_degenerate(self):
         spec = enc.EncoderSpec((3, 4), "tanh")
-        params = enc.EncoderParams(spec, [np.zeros((4, 3))], [np.zeros(4)])
+        params = layers(spec, [np.zeros((4, 3))], [np.zeros(4)])
         with pytest.raises(DegenerateInputError):
             enc.encode(params, np.ones((2, 3)))
 
@@ -122,8 +137,8 @@ class TestBackward:
         spec = enc.EncoderSpec((3, 5, 4), "tanh")
         params = enc.init_params(spec, rng)
         _, cache = enc.encode(params, rng.normal((4, 3)))
-        grads = enc.backward(params, cache, np.zeros((4, 4)))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        grad = enc.backward(params, cache, np.zeros((4, 4)))
+        assert grad.shape == params.flat.shape and np.all(grad == 0)
 
     def test_cache_mismatch(self):
         rng = Rng(41)
@@ -137,17 +152,17 @@ class TestBackward:
 class TestSgdStep:
     def test_vanilla_step(self):
         spec = enc.EncoderSpec((2, 2), "tanh")
-        params = enc.EncoderParams(spec, [np.ones((2, 2))], [np.zeros(2)])
+        params = layers(spec, [np.ones((2, 2))], [np.zeros(2)])
         state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.5, momentum=0.0, weight_decay=0.0))
-        enc.sgd_step(params, [(np.full((2, 2), 2.0), np.array([4.0, 4.0]))], state)
+        enc.sgd_step(params, flat_grad(np.full((2, 2), 2.0), np.array([4.0, 4.0])), state)
         assert np.allclose(params.weights[0], 0.0, atol=1e-15)
         assert np.allclose(params.biases[0], -2.0, atol=1e-15)
 
     def test_zero_gradient_fixed_point(self):
         spec = enc.EncoderSpec((2, 2), "tanh")
-        params = enc.EncoderParams(spec, [np.eye(2)], [np.zeros(2)])
+        params = layers(spec, [np.eye(2)], [np.zeros(2)])
         state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.1, momentum=0.9, weight_decay=0.0))
-        enc.sgd_step(params, [(np.zeros((2, 2)), np.zeros(2))], state)
+        enc.sgd_step(params, np.zeros(6), state)
         assert np.array_equal(params.weights[0], np.eye(2))
 
     def test_momentum_recurrence(self):
@@ -155,19 +170,19 @@ class TestSgdStep:
         # w2 = w0 - lr (1 + 1.9) g
         spec = enc.EncoderSpec((2, 2), "tanh")
         w0 = np.full((2, 2), 3.0)
-        params = enc.EncoderParams(spec, [w0.copy()], [np.zeros(2)])
+        params = layers(spec, [w0], [np.zeros(2)])
         state = enc.init_optimizer(params, enc.OptimizerSettings(lr=0.1, momentum=0.9, weight_decay=0.0))
-        g = (np.full((2, 2), 0.5), np.zeros(2))
-        enc.sgd_step(params, [g], state)
+        g = flat_grad(np.full((2, 2), 0.5), np.zeros(2))
+        enc.sgd_step(params, g, state)
         assert np.allclose(params.weights[0], w0 - 0.1 * 0.5, atol=1e-15)
-        enc.sgd_step(params, [g], state)
+        enc.sgd_step(params, g, state)
         assert np.allclose(params.weights[0], w0 - 0.1 * 0.5 - 0.1 * 1.9 * 0.5, atol=1e-14)
 
     def test_weight_decay_enters_velocity(self):
         spec = enc.EncoderSpec((2, 2), "tanh")
-        params = enc.EncoderParams(spec, [np.full((2, 2), 2.0)], [np.zeros(2)])
+        params = layers(spec, [np.full((2, 2), 2.0)], [np.zeros(2)])
         state = enc.init_optimizer(params, enc.OptimizerSettings(lr=1.0, momentum=0.0, weight_decay=0.5))
-        enc.sgd_step(params, [(np.zeros((2, 2)), np.zeros(2))], state)
+        enc.sgd_step(params, np.zeros(6), state)
         # v = 0.5 * 2.0 = 1.0; w = 2.0 - 1.0
         assert np.allclose(params.weights[0], 1.0, atol=1e-15)
 
@@ -184,15 +199,10 @@ class TestDeterminism:
                 x = data_rng.normal((8, 4))
                 z, cache = enc.encode(params, x)
                 bundle = grad_wrt_embeddings(z, COSINE)
-                grads = enc.backward(params, cache, bundle.dL_dz)
-                enc.sgd_step(params, grads, state)
+                enc.sgd_step(params, enc.backward(params, cache, bundle.dL_dz), state)
             return params
 
-        p1, p2 = train(123), train(123)
-        for w1, w2 in zip(p1.weights, p2.weights):
-            assert np.array_equal(w1, w2)
-        for b1, b2 in zip(p1.biases, p2.biases):
-            assert np.array_equal(b1, b2)
+        assert np.array_equal(train(123).flat, train(123).flat)
 
 
 class TestCheckpoint:
@@ -205,8 +215,7 @@ class TestCheckpoint:
         assert path.read_text().find("DYSTRESS-CKPT-1") >= 0
         loaded = enc.load_checkpoint(path)
         assert loaded.spec == spec
-        for w1, w2 in zip(params.weights, loaded.weights):
-            assert np.array_equal(w1, w2)
+        assert np.array_equal(loaded.flat, params.flat)
 
     def test_magic_checked(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -235,12 +244,12 @@ class TestCheckpoint:
 class TestParamsValidation:
     def test_wrong_shapes_rejected(self):
         spec = enc.EncoderSpec((3, 4), "tanh")
-        with pytest.raises(ValidationError, match="layer 0"):
-            enc.EncoderParams(spec, [np.zeros((3, 4))], [np.zeros(4)])
-        with pytest.raises(ValidationError, match="layer 0"):
-            enc.EncoderParams(spec, [np.zeros((4, 3))], [np.zeros(3)])
-        with pytest.raises(ValidationError, match="count"):
-            enc.EncoderParams(spec, [np.zeros((4, 3))] * 2, [np.zeros(4)] * 2)
+        with pytest.raises(ValidationError, match="^layer 0 parameter shapes do not match the spec$"):
+            layers(spec, [np.zeros((3, 4))], [np.zeros(4)])
+        with pytest.raises(ValidationError, match="^layer 0 parameter shapes do not match the spec$"):
+            layers(spec, [np.zeros((4, 3))], [np.zeros(3)])
+        with pytest.raises(ValidationError, match="^parameter count does not match the spec$"):
+            layers(spec, [np.zeros((4, 3))] * 2, [np.zeros(4)] * 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["weights", "biases"])
@@ -248,7 +257,9 @@ class TestParamsValidation:
         params = enc.init_params(enc.EncoderSpec((3, 5, 4), "tanh"), Rng(0))
         getattr(params, which)[1][0] = value
         with pytest.raises(NumericError, match="layer 1"):
-            enc.EncoderParams(params.spec, params.weights, params.biases)
+            enc.EncoderParams(params.spec, params.flat)
+        with pytest.raises(NumericError, match="layer 1"):
+            layers(params.spec, params.weights, params.biases)
 
     def test_checkpoint_with_nan_weight_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -258,6 +269,44 @@ class TestParamsValidation:
         path.write_text(json.dumps(payload))  # Python's json writes and reads NaN
         with pytest.raises(NumericError, match="layer 1"):
             enc.load_checkpoint(path)
+
+
+class TestFlatLayout:
+    SPEC = enc.EncoderSpec((3, 5, 4), "tanh")
+
+    def test_flat_holds_each_layer_weights_then_biases(self):
+        rng = Rng(3)
+        weights, biases = [rng.normal((5, 3)), rng.normal((4, 5))], [rng.normal((5,)), rng.normal((4,))]
+        params = layers(self.SPEC, weights, biases)
+        expected = np.concatenate([weights[0].ravel(), biases[0], weights[1].ravel(), biases[1]])
+        assert self.SPEC.num_params == expected.size == 44
+        assert np.array_equal(params.flat, expected)
+        for view, original in zip(params.weights + params.biases, weights + biases):
+            assert np.array_equal(view, original) and np.shares_memory(view, params.flat)
+
+    def test_writes_through_layers_show_in_flat(self):
+        params = enc.init_params(self.SPEC, Rng(0))
+        params.weights[1][2, 3] = 7.0
+        params.biases[0][1] = -2.0
+        assert params.flat[20 + 2 * 5 + 3] == 7.0
+        assert params.flat[15 + 1] == -2.0
+
+    def test_layers_are_views_of_the_vector_given(self):
+        vec = np.zeros(self.SPEC.num_params)
+        params = enc.EncoderParams(self.SPEC, vec)
+        vec[-1] = 5.0
+        assert params.biases[1][-1] == 5.0
+
+    @pytest.mark.parametrize("shape", [(43,), (45,), (0,), (4, 11)])
+    def test_wrong_length_rejected(self, shape):
+        with pytest.raises(ValidationError, match="parameter vector"):
+            enc.EncoderParams(self.SPEC, np.zeros(shape))
+
+    def test_sgd_step_rejects_gradient_of_other_shape(self):
+        params = enc.init_params(self.SPEC, Rng(0))
+        state = enc.init_optimizer(params, enc.OptimizerSettings())
+        with pytest.raises(ValidationError, match="gradient shape"):
+            enc.sgd_step(params, np.zeros(43), state)
 
 
 class TestSpecValidation:

@@ -1,5 +1,7 @@
 """Synthetic data generation, augmentation, and batching tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,30 @@ class TestDatasetDump:
         path.write_text('{"id": "a", "label": 0, "x": [1.0]}\n{"id": "b"}\n')
         with pytest.raises(ValidationError, match="line 2"):
             read_dataset(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": "b", "label": 9223372036854775808, "x": [1.0, 2.0]}',
+            '{"id": "b", "label": 1.5, "x": [1.0, 2.0]}',
+            '{"id": "b", "label": true, "x": [1.0, 2.0]}',
+            '{"id": "b", "label": "1", "x": [1.0, 2.0]}',
+            '{"id": "b", "label": 1, "x": [1.0]}',
+            '{"id": "b", "label": 1, "x": "01"}',
+            "[" * 100000,
+        ],
+        ids=[
+            "label-beyond-int64", "label-float", "label-bool", "label-string", "x-ragged", "x-string", "deep-nesting",
+        ],
+    )
+    def test_bad_value_rejected_with_line(self, tmp_path, line):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "label": 0, "x": [1.0, 2.0]}\n' + line + "\n")
+        with pytest.raises(ValidationError, match="^bad dataset record on line 2: "):
+            read_dataset(path)
+
+    def test_int64_label_bounds_accepted(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        lines = [{"id": "a", "label": -(2**63), "x": [1.0]}, {"id": "b", "label": 2**63 - 1, "x": [2.0]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        assert read_dataset(path).labels.tolist() == [-(2**63), 2**63 - 1]
