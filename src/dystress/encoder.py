@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, check_float, check_int
+from .errors import NumericError, ValidationError, check_float, check_int, from_section, read_json
 from .geometry import unit_rows
 from .numeric import Rng, row_sums
 
@@ -230,13 +230,17 @@ def save_checkpoint(path: str | Path, params: EncoderParams) -> None:
 
 
 def load_checkpoint(path: str | Path) -> EncoderParams:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("magic") != CHECKPOINT_MAGIC:
+    """The parameters `save_checkpoint` wrote to `path`; ValidationError when the file is malformed."""
+    payload = read_json(path)
+    if not isinstance(payload, dict) or payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValidationError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    spec = EncoderSpec(**payload["spec"])
+    spec = from_section(EncoderSpec, payload.get("spec"), "checkpoint spec")
     shapes = list(zip(spec.layer_widths[1:], spec.layer_widths[:-1]))
-    flat = [np.array(w, dtype=np.float64) for w in payload["weights"]]
+    try:  # a missing field, or values that are not lists of numbers
+        flat = [np.array(w, dtype=np.float64) for w in payload["weights"]]
+        biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
+    except (KeyError, TypeError, ValueError) as err:
+        raise ValidationError(f"bad checkpoint {path}: {err!r}") from err
     if len(flat) != len(shapes) or any(w.size != rows * cols for w, (rows, cols) in zip(flat, shapes)):
         raise ValidationError(f"checkpoint weights do not match layer widths {spec.layer_widths}")
-    biases = [np.array(b, dtype=np.float64) for b in payload["biases"]]
     return EncoderParams.from_layers(spec, [w.reshape(shape) for w, shape in zip(flat, shapes)], biases)

@@ -1,14 +1,16 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: ValidationError (and subclasses) -> 1,
-NumericError -> 2, OSError -> 3. The helpers at the end check values and
-build config dataclasses from JSON sections: every integer rule goes through
-`check_int` and every real-number rule through `check_float`.
+NumericError -> 2, OSError -> 3. The helpers at the end check values, read
+JSON files and build config dataclasses from JSON sections: every integer
+rule goes through `check_int` and every real-number rule through `check_float`.
 """
 
 import dataclasses
+import json
 import math
 import numbers
+from pathlib import Path
 
 
 class DystressError(Exception):
@@ -70,6 +72,14 @@ def _show(bound) -> str:
     """`bound` in %g form, or as 1/n where that is exact and %g is not (1/350)."""
     n = round(1 / bound) if 0 < bound < 1 else 0
     return f"1/{n}" if n and 1 / n == bound and float(f"{bound:g}") != bound else f"{bound:g}"
+
+
+def read_json(path: str | Path):
+    """The JSON document in `path`; ValidationError when the file does not hold one."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, too many digits, too deep
+        raise ValidationError(f"{path} is not valid JSON: {err}") from err
 
 
 def check_fields(section, allowed, where: str) -> None:

@@ -1,11 +1,11 @@
 """Unit-sphere embeddings, the 2Nx(2N-1) similarity block, and pair bookkeeping.
 
-The similarity block follows the standard two-view contrastive layout: for a
-batch of N samples with views a and b, row i (i < N) holds the cross-view
-similarities of a_i against all of b (columns 0..N-1, positive at column i)
-followed by the within-view similarities of a_i against a_j, j != i
-(columns N..2N-2). Row N+i is the mirror image for anchor b_i. Every row has
-exactly one positive, at column (row mod N).
+The similarity block follows the standard two-view contrastive layout: row r
+holds the similarities of stacked embedding r (view a first) to the other
+view's N embeddings, positive at column r mod N, then to the N - 1 others of
+its own view. `block_index_maps` is the one definition of that order; the
+block, the pair kinds and the chain of a block gradient to the embeddings
+all go through it.
 """
 
 from __future__ import annotations
@@ -46,13 +46,6 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if v.ndim == 1:
         return unit_rows(v[None, :], np.array([np.linalg.norm(v)]))[0]
     return unit_rows(v, np.linalg.norm(v, axis=1))
-
-
-def strip_diagonal(m: np.ndarray) -> np.ndarray:
-    """Drop the diagonal of a square matrix, keeping row-wise column order."""
-    n = m.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    return m[mask].reshape(n, n - 1)
 
 
 def cross_tile(rows, view_a, view_b, out=None):
@@ -109,15 +102,6 @@ class EmbeddingBatch:
         """All 2N embeddings, view-a rows first (flat index i, then N+i)."""
         return np.vstack([self.view_a, self.view_b])
 
-    def permuted(self, perm: np.ndarray) -> "EmbeddingBatch":
-        """Batch with samples reordered by `perm` (views, ids, labels together)."""
-        return EmbeddingBatch(
-            view_a=self.view_a[perm],
-            view_b=self.view_b[perm],
-            sample_ids=[self.sample_ids[i] for i in perm],
-            labels=None if self.labels is None else self.labels[perm],
-        )
-
 
 @dataclass
 class LogitsBlock:
@@ -146,29 +130,24 @@ def block_index_maps(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat-embedding indices (into `EmbeddingBatch.stacked()`) per block entry.
 
     Returns (anchor, other), both 2Nx(2N-1): entry (r, c) of the block is the
-    dot product of embeddings `anchor[r, c]` and `other[r, c]`.
+    dot product of embeddings `anchor[r, c]` = r and `other[r, c]`. Row r walks
+    the stack cyclically from the other view's first row, stepping over r, so
+    the maps hold each ordered pair of distinct rows exactly once.
     """
-    idx = np.arange(n)
-    offdiag = np.tile(idx, (n, 1))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    anchor = np.zeros((2 * n, 2 * n - 1), dtype=np.int64)
-    other = np.zeros((2 * n, 2 * n - 1), dtype=np.int64)
-    # rows 0..N-1: anchor a_i; columns [b_0..b_{N-1} | a_j, j != i]
-    anchor[:n, :] = idx[:, None]
-    other[:n, :n] = (idx + n)[None, :]
-    other[:n, n:] = offdiag
-    # rows N..2N-1: anchor b_i; columns [a_0..a_{N-1} | b_j, j != i]
-    anchor[n:, :] = (idx + n)[:, None]
-    other[n:, :n] = idx[None, :]
-    other[n:, n:] = offdiag + n
-    return anchor, other
+    rows = np.arange(2 * n)[:, None]
+    cols = np.arange(2 * n - 1)[None, :]
+    sample = rows % n  # the other view starts at rows - sample + n; step n + sample is r
+    other = (rows - sample + n + cols + (cols >= n + sample)) % (2 * n)
+    return np.broadcast_to(rows, other.shape), other
 
 
 def build_logits_block(batch: EmbeddingBatch, profile: TemperatureProfile) -> LogitsBlock:
     """Assemble the 2Nx(2N-1) block with entry-wise temperatures.
 
-    Similarities are clamped to [-1, 1] before the temperature profile is
-    evaluated, and the resulting temperatures are cached so the forward pass
-    and all gradients see identical values.
+    Similarities are gathered from the Gram matrix of `stacked()` at
+    `block_index_maps` and clamped to [-1, 1] before the temperature profile
+    is evaluated; the temperatures are cached so the forward pass and all
+    gradients see identical values.
     """
     n = batch.n
     if n < 2:
@@ -176,12 +155,10 @@ def build_logits_block(batch: EmbeddingBatch, profile: TemperatureProfile) -> Lo
             f"need at least 2 samples (got {n}); a single-sample batch has no negatives"
         )
     va, vb = batch.view_a, batch.view_b
-    s12 = va @ vb.T
-    s11 = va @ va.T
-    s22 = vb @ vb.T
-    top = np.hstack([s12, strip_diagonal(s11)])
-    bottom = np.hstack([s12.T.copy(), strip_diagonal(s22)])
-    s = np.clip(np.vstack([top, bottom]), -1.0, 1.0)  # floating-point drift guard
+    cross = va @ vb.T
+    # per-view products: one 2N product rounds some entries differently (other BLAS kernels)
+    gram = np.block([[va @ va.T, cross], [cross.T, vb @ vb.T]])
+    s = np.clip(gram[block_index_maps(n)], -1.0, 1.0)  # floating-point drift guard
     temperatures = profile.tau(s)
     return LogitsBlock(
         s=s,
@@ -206,14 +183,9 @@ def classify_pairs(batch: EmbeddingBatch) -> np.ndarray:
     if n < 2:
         raise BatchTooSmallError(f"need at least 2 samples (got {n})")
     anchor, other = block_index_maps(n)
-    labels_flat = np.concatenate([batch.labels, batch.labels])
-    kinds = np.where(
-        labels_flat[anchor] == labels_flat[other],
-        np.int64(PairKind.FALSE_NEGATIVE),
-        np.int64(PairKind.TRUE_NEGATIVE),
-    )
-    rows = np.arange(2 * n)
-    kinds[rows, rows % n] = PairKind.TRUE_POSITIVE
+    sample, partner = anchor % n, other % n
+    kinds = np.where(batch.labels[sample] == batch.labels[partner], PairKind.FALSE_NEGATIVE, PairKind.TRUE_NEGATIVE)
+    kinds[sample == partner] = PairKind.TRUE_POSITIVE  # the anchor's own sample in the other view
     return kinds
 
 
@@ -271,9 +243,18 @@ def _dump_fields(record: dict) -> tuple[str, str, Optional[int]]:  # view, id, l
 
 
 def read_embedding_dump(path: str | Path) -> EmbeddingBatch:
-    """Inverse of write_embedding_dump; pairs records by id across views."""
+    """Inverse of write_embedding_dump; pairs records by id across views, one per view with one label."""
     by_view: dict[str, dict[str, tuple]] = {"a": {}, "b": {}}  # id -> (z, label)
-    for z, view, sample_id, label in read_vector_records(path, "embedding", "z", _dump_fields):
+
+    def fields(record: dict) -> tuple[str, str, Optional[int]]:
+        view, sample_id, label = _dump_fields(record)
+        if sample_id in by_view[view]:
+            raise ValueError(f"id {sample_id!r} repeats in view {view}")
+        if by_view["b" if view == "a" else "a"].get(sample_id, (None, label))[1] != label:
+            raise ValueError(f"id {sample_id!r} has a label other than its other view's")
+        return view, sample_id, label
+
+    for z, view, sample_id, label in read_vector_records(path, "embedding", "z", fields):
         by_view[view][sample_id] = (z, label)
     ids = sorted(by_view["a"])
     if ids != sorted(by_view["b"]):

@@ -33,7 +33,7 @@ from . import encoder as enc
 from . import loss as loss_mod
 from . import metrics as metrics_mod
 from . import synthetic
-from .errors import NumericError, ValidationError, check_fields, check_int, from_section
+from .errors import NumericError, ValidationError, check_fields, check_int, from_section, read_json
 from .geometry import EmbeddingBatch, read_embedding_dump, write_embedding_dump
 from .numeric import MAX_SEED, Rng, fmt, retain_freed_memory, single_blas_thread
 from .temperature import TemperatureProfile
@@ -125,16 +125,8 @@ def config_from_dict(raw: dict, out_dir: Optional[Path] = None) -> ExperimentCon
     return from_section(ExperimentConfig, top, "config")
 
 
-def _read_json(path: str | Path):
-    """The JSON document in `path`; ValidationError when the file does not hold one."""
-    try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as err:  # bad UTF-8 or JSON, too many digits, too deep
-        raise ValidationError(f"{path} is not valid JSON: {err}") from err
-
-
 def load_config(path: str | Path, out_dir: Optional[Path] = None) -> ExperimentConfig:
-    return config_from_dict(_read_json(path), out_dir=out_dir)
+    return config_from_dict(read_json(path), out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +394,7 @@ def sweep_from_dict(raw: dict) -> SweepSpec:
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
-    return sweep_from_dict(_read_json(path))
+    return sweep_from_dict(read_json(path))
 
 
 SWEEP_CSV_HEADER = "config_index,profile,lr,seed,status," + metrics_mod.METRICS_CSV_HEADER

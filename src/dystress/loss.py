@@ -22,8 +22,8 @@ holds two tiles: the cross tile is exponentiated and reduced to its row and
 column sums first, then its memory takes the packed tile, and the packed
 tile's 1/tau takes e_b. The 2Nx(2N-1)
 `LogitsBlock` path (`forward_from_block`, `grad_wrt_similarity`,
-`chain_to_embeddings`) is the diagnostic layout and the reference the
-function is tested against.
+`chain_to_embeddings`, laid out by `geometry.block_index_maps`) is the
+reference the function is tested against.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import BatchTooSmallError, NumericError, ValidationError
-from .geometry import EmbeddingBatch, LogitsBlock, cross_tile
+from .geometry import EmbeddingBatch, LogitsBlock, block_index_maps, cross_tile
 from .numeric import row_chunks, row_log_sum_exp, row_sums, stable_row_softmax
 from .temperature import TemperatureProfile
 
@@ -197,14 +197,6 @@ def grad_wrt_similarity(block: LogitsBlock, mode: LossMode = LossMode.DETACHED) 
     return residual * factor / block.num_rows
 
 
-def _scatter_offdiag(g: np.ndarray) -> np.ndarray:
-    """Place an Nx(N-1) gradient back onto the off-diagonal of an NxN matrix."""
-    n = g.shape[0]
-    full = np.zeros((n, n))
-    full[~np.eye(n, dtype=bool)] = g.ravel()
-    return full
-
-
 def chain_to_embeddings(batch: EmbeddingBatch, dL_ds: np.ndarray) -> np.ndarray:
     """Chain a similarity-block gradient into the 2N embedding rows.
 
@@ -213,16 +205,11 @@ def chain_to_embeddings(batch: EmbeddingBatch, dL_ds: np.ndarray) -> np.ndarray:
     The positive-pair term enters with weight -(1 - p)/tau and every negative
     pair enters once per anchor ordering, which is what gives the
     p(anchor->other) + p(other->anchor) structure of the displacement vector.
+    `block_index_maps` holds each ordered pair once, so assignment scatters it.
     """
-    n = batch.n
-    va, vb = batch.view_a, batch.view_b
-    g12 = dL_ds[:n, :n]
-    g21 = dL_ds[n:, :n]
-    g11 = _scatter_offdiag(dL_ds[:n, n:])
-    g22 = _scatter_offdiag(dL_ds[n:, n:])
-    dz_a = g12 @ vb + (g11 + g11.T) @ va + g21.T @ vb
-    dz_b = g21 @ va + (g22 + g22.T) @ vb + g12.T @ va
-    return np.vstack([dz_a, dz_b])
+    g = np.zeros((2 * batch.n, 2 * batch.n))
+    g[block_index_maps(batch.n)] = dL_ds
+    return (g + g.T) @ batch.stacked()
 
 
 def _split_views(z) -> tuple[np.ndarray, np.ndarray]:

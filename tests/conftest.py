@@ -29,6 +29,16 @@ def random_batch(rng: Rng, n: int, d: int, labels=None) -> EmbeddingBatch:
     )
 
 
+def permuted_batch(batch: EmbeddingBatch, perm) -> EmbeddingBatch:
+    """`batch` with its samples reordered by `perm`: views, ids and labels together."""
+    return EmbeddingBatch(
+        view_a=batch.view_a[perm],
+        view_b=batch.view_b[perm],
+        sample_ids=[batch.sample_ids[i] for i in perm],
+        labels=None if batch.labels is None else batch.labels[perm],
+    )
+
+
 def reference_block_rows(view_a, view_b):
     """Scalar construction of the 2Nx(2N-1) similarity block.
 

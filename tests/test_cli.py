@@ -387,6 +387,24 @@ class TestSimulateAndMetrics:
         assert err.startswith("error: bad embedding record on line 2:")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_metrics_repeated_id_exit_1(self, tmp_path, capsys):
+        dump = edited_dump(tmp_path, json.dumps)
+        dump.write_text(dump.read_text().replace('"id": "s1"', '"id": "s0"'))  # in both views
+        assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad embedding record on line 2: id 's0' repeats in view a")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_metrics_views_with_different_labels_exit_1(self, tmp_path, capsys):
+        dump = edited_dump(tmp_path, json.dumps)
+        lines = dump.read_text().replace('"label": null', '"label": 0').splitlines()
+        lines[4] = lines[4].replace('"label": 0', '"label": 1')  # view b of s1
+        dump.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--embeddings", str(dump), "--k", "2"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad embedding record on line 5: id 's1' has a label other than")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_unknown_config_field_exit_1(self, tmp_path):
         config_path = write_config(tmp_path, {**TINY_CONFIG, "typo_field": 1})
         code = main(["simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "x")])

@@ -224,6 +224,24 @@ class TestCheckpoint:
             enc.load_checkpoint(path)
 
     @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda text: text[: len(text) // 2],
+            lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "spec"}),
+            lambda text: json.dumps({**json.loads(text), "spec": {"bogus": 1}}),
+            lambda text: json.dumps([json.loads(text)]),
+            lambda text: json.dumps({**json.loads(text), "weights": [["x"] * 15, [0.0] * 20]}),
+        ],
+        ids=["truncated", "no-spec", "unknown-spec-field", "top-level-list", "string-weight"],
+    )
+    def test_malformed_file_is_a_validation_error(self, tmp_path, rewrite):
+        path = tmp_path / "ckpt.json"
+        enc.save_checkpoint(path, enc.init_params(enc.EncoderSpec((3, 5, 4), "tanh"), Rng(0)))
+        path.write_text(rewrite(path.read_text()))
+        with pytest.raises(ValidationError):
+            enc.load_checkpoint(path)
+
+    @pytest.mark.parametrize(
         "edit",
         [
             lambda payload: payload["weights"][1].pop(),  # one value short

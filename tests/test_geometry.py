@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_batch, reference_block_rows
+from conftest import permuted_batch, random_batch, reference_block_rows
 
 from dystress.errors import BatchTooSmallError, DegenerateInputError, NumericError, ValidationError
 from dystress.geometry import (
@@ -94,7 +94,7 @@ class TestBuildLogitsBlock:
         profile = TemperatureProfile.cosine_vanilla(0.1, 0.2)
         perm = rng.permutation(5)
         block = build_logits_block(batch, profile)
-        block_p = build_logits_block(batch.permuted(perm), profile)
+        block_p = build_logits_block(permuted_batch(batch, perm), profile)
         # multiset of similarity values is unchanged
         assert np.allclose(np.sort(block.s.ravel()), np.sort(block_p.s.ravel()), atol=1e-12)
         # positive entries map through the permutation
@@ -132,6 +132,23 @@ class TestBlockIndexMaps:
             for c in range(5):
                 want = float(np.dot(z[anchor[r, c]], z[other[r, c]]))
                 assert abs(block.s[r, c] - want) < 1e-12
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_maps_pinned_to_scalar_reference(self, n):
+        # 1-D embeddings of distinct primes: a product names its unordered pair
+        primes = np.array([2, 3, 5, 7, 11, 13, 17, 19, 23, 29])[: 2 * n, None]
+        anchor, other = block_index_maps(n)
+        for r, (row, pos) in enumerate(reference_block_rows(primes[:n], primes[n:])):
+            assert anchor[r].tolist() == [r] * (2 * n - 1)
+            assert row == [float(primes[r, 0] * primes[o, 0]) for o in other[r]]
+            assert other[r, pos] == (r + n) % (2 * n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 17])
+    def test_maps_hold_each_ordered_pair_once(self, n):
+        anchor, other = block_index_maps(n)
+        pairs = sorted(zip(anchor.ravel().tolist(), other.ravel().tolist()))
+        assert pairs == [(p, q) for p in range(2 * n) for q in range(2 * n) if p != q]
 
 
 class TestClassifyPairs:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    permuted_batch,
     random_batch,
     reference_grad_dz,
     reference_loss_with_profile,
@@ -175,7 +176,7 @@ class TestGradWrtEmbeddings:
         batch = random_batch(rng, 6, 4)
         perm = rng.permutation(6)
         bundle = grad_wrt_embeddings(batch.stacked(), COSINE)
-        bundle_p = grad_wrt_embeddings(batch.permuted(perm).stacked(), COSINE)
+        bundle_p = grad_wrt_embeddings(permuted_batch(batch, perm).stacked(), COSINE)
         grads = bundle.dL_dz
         grads_p = bundle_p.dL_dz
         assert np.allclose(grads_p[:6], grads[:6][perm], atol=1e-12)

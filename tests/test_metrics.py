@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_batch
+from conftest import permuted_batch, random_batch
 
 from dystress.errors import NumericError, ValidationError
 from dystress.geometry import EmbeddingBatch, PairKind, l2_normalize
@@ -241,7 +241,7 @@ class TestPairHistograms:
         batch = random_batch(rng, n, 4, labels=np.arange(n) % 3)
         hist = pair_histograms(batch)
         perm = rng.permutation(n)
-        hist_p = pair_histograms(batch.permuted(perm))
+        hist_p = pair_histograms(permuted_batch(batch, perm))
         for kind in PairKind:
             assert np.array_equal(hist.counts[kind], hist_p.counts[kind])
 

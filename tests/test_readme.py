@@ -1,13 +1,18 @@
-"""The README's examples agree with the code: the quick example runs, and every
-CLI line and JSON config parses as written."""
+"""The README's examples agree with the code: the quick example runs, every
+CLI line and JSON config parses as written, and every Python name the library
+tour shows is defined."""
 
+import importlib
+import inspect
 import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import dystress
 from dystress import cli
 from dystress.harness import ExperimentConfig, config_from_dict, sweep_from_dict
 
@@ -39,3 +44,30 @@ def test_json_blocks_parse():
     config, sweep = (json.loads(block) for block in readme_blocks("json"))
     assert config_from_dict(config) == ExperimentConfig()
     assert len(sweep_from_dict(sweep).expand(None)) == 6
+
+
+def tour_names() -> set[str]:
+    """Each backticked identifier or dotted path in the library tour, without call parentheses."""
+    text = README.read_text(encoding="utf-8")
+    tour = text[text.index("## Library tour") : text.index("Quick example:")]
+    spans = re.findall(r"`([^`]+)`", tour)
+    names = (re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(?:\(.*\))?", span) for span in spans)
+    return {name.group(1) for name in names if name}
+
+
+def test_tour_names_are_defined():
+    modules = [importlib.import_module(f"dystress.{info.name}") for info in pkgutil.iter_modules(dystress.__path__)]
+    classes = [c for m in modules for c in vars(m).values() if inspect.isclass(c) and c.__module__ == m.__name__]
+
+    def defined(name):
+        *path, last = name.removeprefix("dystress.").split(".")
+        for owner in [dystress, *modules, *classes]:
+            for part in path:
+                owner = getattr(owner, part, None)
+            if hasattr(owner, last) or last in getattr(owner, "__dataclass_fields__", {}):
+                return True
+        return False
+
+    names = tour_names()
+    assert "EmbeddingBatch" in names and "DYSTRESS-CKPT-1" not in names
+    assert [name for name in sorted(names) if not defined(name)] == []
