@@ -22,15 +22,16 @@ from .errors import BatchTooSmallError, DegenerateInputError, NumericError, Vali
 from .temperature import TemperatureProfile
 
 UNIT_NORM_TOL = 1e-9
+NORM_FLOOR = 1e-12  # a row whose norm is at most this has no direction to keep
 
 
 def unit_rows(v: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Each row of `v` divided by its norm, given as `norms`.
 
-    Raises DegenerateInputError when a norm falls below 1e-12, and
+    Raises DegenerateInputError when a norm is at most NORM_FLOOR, and
     NumericError when a norm is not finite (a row that overflows or holds NaN).
     """
-    if np.any(norms <= 1e-12):
+    if np.any(norms <= NORM_FLOOR):
         bad = int(np.argmin(norms))
         raise DegenerateInputError(f"cannot normalize row {bad} with norm {norms[bad]:.3e}")
     finite = np.isfinite(norms)

@@ -54,7 +54,7 @@ class ExperimentConfig:
     seed: int = 0
     synthetic: synthetic.SyntheticSpec = synthetic.SyntheticSpec()
     encoder: enc.EncoderSpec = enc.EncoderSpec()
-    profile: TemperatureProfile = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+    profile: TemperatureProfile = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
     loss_mode: loss_mod.LossMode = loss_mod.LossMode.DETACHED
     optimizer: enc.OptimizerSettings = enc.OptimizerSettings()
     batch_size: int = 128
@@ -380,7 +380,7 @@ def sweep_from_dict(raw: dict) -> SweepSpec:
         sweep = SweepSpec(
             # a base may carry its own config_version, checked like a run config's
             base=config_from_dict({"config_version": CONFIG_VERSION, **raw.get("base", {})}),
-            profiles=[TemperatureProfile.from_dict(p) for p in overrides.get("profiles", [])],
+            profiles=[from_section(TemperatureProfile, p, "profile") for p in overrides.get("profiles", [])],
             lrs=overrides.get("lrs", []),
             seeds=overrides.get("seeds", []),
             max_configs=raw.get("max_configs", DEFAULT_SWEEP_CAP),

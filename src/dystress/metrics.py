@@ -52,9 +52,6 @@ class Histogram:
     bin_edges: np.ndarray
     counts: dict[PairKind, np.ndarray]
 
-    def total(self, kind: PairKind) -> int:
-        return int(self.counts[kind].sum())
-
 
 def _upper_tiles(points: np.ndarray, entries: int | None = None):
     """(rows, gram, upper) over row chunks of the Gram matrix's upper triangle.

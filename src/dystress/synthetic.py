@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ValidationError, check_float, check_int
-from .geometry import check_label, l2_normalize, read_vector_records, unit_rows
+from .geometry import NORM_FLOOR, check_label, l2_normalize, read_vector_records, unit_rows
 from .numeric import Rng
 
 HOLDOUT_STRIDE = 5  # the test splits hold about a fifth of each class
@@ -119,7 +119,7 @@ def augment_views(inputs: np.ndarray, sigma_a: float, rng: Rng) -> tuple[np.ndar
 
     Draws per-view noise blocks in a fixed order so the stream is stable:
     view 1's noise, view 2's, then the rows of view 1 and of view 2 whose
-    noisy norm fell to 1e-12 or below are drawn again.
+    noisy norm fell to NORM_FLOOR or below are drawn again.
     """
     if sigma_a == 0.0:
         base = l2_normalize(inputs)
@@ -129,7 +129,7 @@ def augment_views(inputs: np.ndarray, sigma_a: float, rng: Rng) -> tuple[np.ndar
     views = []
     for v in (v1, v2):
         norms = np.linalg.norm(v, axis=1)
-        redrawn = np.flatnonzero(norms <= 1e-12)
+        redrawn = np.flatnonzero(norms <= NORM_FLOOR)
         for bad in redrawn:
             v[bad] = inputs[bad] + sigma_a * rng.normal(inputs.shape[1])
         if redrawn.size:  # rare: all norms again, as `l2_normalize` takes them
@@ -161,9 +161,17 @@ def write_dataset(path: str | Path, dataset: Dataset) -> None:
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    records = list(read_vector_records(
-        path, "dataset", "x", lambda record: (check_label(record["label"]), str(record["id"]))
-    ))
+    """Inverse of write_dataset; each id may appear once."""
+    seen: set[str] = set()
+
+    def fields(record: dict) -> tuple[int, str]:
+        label, sample_id = check_label(record["label"]), str(record["id"])
+        if sample_id in seen:
+            raise ValueError(f"id {sample_id!r} repeats")
+        seen.add(sample_id)
+        return label, sample_id
+
+    records = list(read_vector_records(path, "dataset", "x", fields))
     if not records:
         raise ValidationError(f"dataset file {path} is empty")
     inputs, labels, ids = zip(*records)

@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericError, ValidationError, check_float, check_int, from_section
+from .errors import DomainError, NumericError, ValidationError, check_float, check_int
 from .numeric import fmt
 
 DOMAIN_SLACK = 1e-9
@@ -37,10 +37,10 @@ COSINE_FORMS = {"cosine_vanilla": (1.0, 1.0, 1.0, None), "monotonic_cosine": (1.
 
 
 class ProfileForm(NamedTuple):
-    """How a variant is named and which of its fields a spec string carries."""
+    """How a variant is named and which fields it takes."""
 
     names: tuple[str, ...]  # accepted spellings; the first is the spec-string name
-    values: tuple[str, ...]  # fields a spec string carries, in order
+    values: tuple[str, ...]  # fields the variant takes, in spec-string order
     required: int  # how many of them a spec string must give
 
 
@@ -68,16 +68,16 @@ def variant_named(name: str) -> str:
 class TemperatureProfile:
     """Tagged temperature function tau(s) over cosine similarity s in [-1, 1].
 
-    Every variant maps into [tau_min, tau_max]. Use the classmethod
-    constructors rather than building instances by hand.
+    Every variant maps into [tau_min, tau_max] and takes the shape fields
+    PROFILE_FORMS lists for it; the others keep their defaults.
     """
 
     variant: str
     tau_min: float
     tau_max: float
-    shift: float = 0.0      # cosine_shifted only (delta-s)
-    scale: float = 1.0      # cosine_shifted only (k)
-    sharpness: float = 1.0  # exponential only (a)
+    shift: float = 0.0      # delta-s of the shifted cosine window
+    scale: float = 1.0      # k, its period scale
+    sharpness: float = 1.0  # a of the exponential
 
     def __post_init__(self):
         if self.variant not in PROFILE_FORMS:
@@ -97,34 +97,6 @@ class TemperatureProfile:
         check_float("shift", self.shift, -1.0, 1.0)
         check_float("scale", self.scale, *SCALE_RANGE)
         check_float("sharpness", self.sharpness, *SHARPNESS_RANGE)
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def constant(cls, tau: float) -> "TemperatureProfile":
-        return cls("constant", tau, tau)
-
-    @classmethod
-    def cosine_vanilla(cls, tau_min: float, tau_max: float) -> "TemperatureProfile":
-        return cls("cosine_vanilla", tau_min, tau_max)
-
-    @classmethod
-    def cosine_shifted(
-        cls, tau_min: float, tau_max: float, shift: float, scale: float
-    ) -> "TemperatureProfile":
-        return cls("cosine_shifted", tau_min, tau_max, shift=shift, scale=scale)
-
-    @classmethod
-    def linear(cls, tau_min: float, tau_max: float) -> "TemperatureProfile":
-        return cls("linear", tau_min, tau_max)
-
-    @classmethod
-    def exponential(cls, tau_min: float, tau_max: float, sharpness: float = 1.0) -> "TemperatureProfile":
-        return cls("exponential", tau_min, tau_max, sharpness=sharpness)
-
-    @classmethod
-    def monotonic_cosine(cls, tau_min: float, tau_max: float) -> "TemperatureProfile":
-        return cls("monotonic_cosine", tau_min, tau_max)
 
     # -- evaluation --------------------------------------------------------
 
@@ -219,10 +191,6 @@ class TemperatureProfile:
         d.update((name, getattr(self, name)) for name in PROFILE_FORMS[self.variant].values)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TemperatureProfile":
-        return from_section(cls, d, "profile")
-
     def spec_string(self) -> str:
         """Compact CLI form, e.g. cosine:0.1:0.2 or shifted:0.1:0.2:-0.4:0.7."""
         form = PROFILE_FORMS[self.variant]
@@ -240,7 +208,9 @@ class TemperatureProfile:
         form = PROFILE_FORMS[variant]
         if not form.required <= len(values) <= len(form.values):
             raise ValidationError(f"{name} takes the values {':'.join(form.values)}, got {len(values)}")
-        return getattr(cls, variant)(*values)
+        spec_fields = dict(zip(form.values, values))
+        spec_fields.setdefault("tau_max", spec_fields["tau_min"])  # a constant's one tau
+        return cls(variant, **spec_fields)
 
 
 def profile_curve(profile: TemperatureProfile, samples: int) -> np.ndarray:
@@ -398,7 +368,7 @@ def slope_sign_cell(params: OdeParams, grid: np.ndarray) -> SlopeCell:
     return SlopeCell(params.delta, params.bigK, params.c, frac, count, negative, False)
 
 
-def sample_constants(c_high: float, c_low: float, c_count: int) -> np.ndarray:
+def sample_constants(c_low: float, c_high: float, c_count: int) -> np.ndarray:
     """c values for the verifier: midpoints of c_count equal subintervals.
 
     The interval is [c_low, c_high] of family_bounds. Its endpoints are
@@ -425,8 +395,7 @@ def verify_proposition1(
     report = Proposition1Report()
     for delta in delta_grid:
         for bigK in bigK_grid:
-            c_low, c_high = family_bounds(delta, bigK, tau_max)
-            for c in sample_constants(c_high, c_low, c_count):
+            for c in sample_constants(*family_bounds(delta, bigK, tau_max), c_count):
                 cell = slope_sign_cell(OdeParams(delta, bigK, tau_max, float(c)), grid)
                 report.cells.append(cell)
     return report

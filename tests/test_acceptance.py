@@ -49,7 +49,7 @@ from dystress.temperature import (
     ode_curve,
 )
 
-COSINE_BEST = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+COSINE_BEST = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
 
 
 def report_pass(number: int, started: float, detail: str) -> None:
@@ -79,7 +79,7 @@ def benefit_runs(tmp_path_factory):
             harness.ExperimentConfig(seed=seed), profile=profile, out_dir=root / f"{name}_{seed}"
         )
         for seed in range(5)
-        for name, profile in (("cosine", COSINE_BEST), ("constant", TemperatureProfile.constant(0.1)))
+        for name, profile in (("cosine", COSINE_BEST), ("constant", TemperatureProfile("constant", 0.1, 0.1)))
     ]
     workers = min(2, len(os.sched_getaffinity(0)))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
@@ -137,7 +137,7 @@ def support(hist, kind):
 
 def test_c01_temperature_endpoints():
     started = time.monotonic()
-    profile = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+    profile = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
     assert abs(profile.tau(-1.0) - 0.2) < 1e-12
     assert abs(profile.tau(1.0) - 0.2) < 1e-12
     assert abs(profile.tau(0.0) - 0.1) < 1e-12
@@ -243,7 +243,7 @@ def test_c05_ntxent_equivalence():
     started = time.monotonic()
     rng = Rng(505)
     tau = 0.1
-    constant = TemperatureProfile.constant(tau)
+    constant = TemperatureProfile("constant", tau, tau)
     worst_loss, worst_grad = 0.0, 0.0
     for trial in range(50):
         n = 2 + trial % 7

@@ -179,7 +179,7 @@ class TestTempProfile:
         out, expected = tmp_path / "p.csv", tmp_path / "expected.csv"
         argv = ["temp-profile", "--profile", "shifted:0.1:0.2:-0.4:0.7", "--samples", "11", "--out", str(out)]
         assert main(argv) == EXIT_OK
-        write_profile_csv(expected, TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7), 11)
+        write_profile_csv(expected, TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7), 11)
         assert out.read_bytes() == expected.read_bytes()
 
     def test_invalid_range_exit_1(self, tmp_path):
@@ -324,8 +324,9 @@ class TestSimulateAndMetrics:
             '{"id": "x", "label": 1, "x": [0, 0, 0]}',
             '{"id": "x", "label": 1, "x": "010101"}',
             "[" * 100000,
+            '{"id": "a", "label": 1, "x": [0, 1, 0, 0, 0, 0]}',
         ],
-        ids=["label-beyond-int64", "x-ragged", "x-string", "deep-nesting"],
+        ids=["label-beyond-int64", "x-ragged", "x-string", "deep-nesting", "id-repeated"],
     )
     def test_simulate_bad_dataset_record_exit_1(self, tmp_path, capsys, line):
         data_path = tmp_path / "data.jsonl"

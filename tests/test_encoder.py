@@ -11,7 +11,7 @@ from dystress.loss import LossMode, grad_wrt_embeddings, loss_on_embeddings
 from dystress.numeric import Rng, finite_difference_grad, max_relative_error
 from dystress.temperature import TemperatureProfile
 
-COSINE = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+COSINE = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
 
 
 def layers(spec, weights, biases):

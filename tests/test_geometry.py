@@ -49,7 +49,7 @@ class TestL2Normalize:
 class TestBuildLogitsBlock:
     def test_layout_matches_scalar_reference(self, rng):
         batch = random_batch(rng, 2, 5)
-        block = build_logits_block(batch, TemperatureProfile.constant(0.5))
+        block = build_logits_block(batch, TemperatureProfile("constant", 0.5, 0.5))
         assert block.s.shape == (4, 3)
         ref = reference_block_rows(batch.view_a, batch.view_b)
         for r, (row, pos) in enumerate(ref):
@@ -58,7 +58,7 @@ class TestBuildLogitsBlock:
 
     def test_cross_view_positive_entries(self, rng):
         batch = random_batch(rng, 5, 4)
-        block = build_logits_block(batch, TemperatureProfile.constant(1.0))
+        block = build_logits_block(batch, TemperatureProfile("constant", 1.0, 1.0))
         for i in range(5):
             want = float(np.dot(batch.view_a[i], batch.view_b[i]))
             assert abs(block.s[i, i] - want) < 1e-12
@@ -67,31 +67,31 @@ class TestBuildLogitsBlock:
     def test_identical_views_positive_column_is_one(self, rng):
         z = l2_normalize(rng.normal((3, 6)))
         batch = EmbeddingBatch(z, z.copy(), ["a", "b", "c"])
-        block = build_logits_block(batch, TemperatureProfile.constant(0.1))
+        block = build_logits_block(batch, TemperatureProfile("constant", 0.1, 0.1))
         rows = np.arange(6)
         assert np.allclose(block.s[rows, block.positive_column], 1.0, atol=1e-12)
 
     def test_constant_profile_scaled_is_division(self, rng):
         batch = random_batch(rng, 3, 4)
-        block = build_logits_block(batch, TemperatureProfile.constant(0.25))
+        block = build_logits_block(batch, TemperatureProfile("constant", 0.25, 0.25))
         assert np.array_equal(block.scaled, block.s / 0.25)
 
     def test_batch_too_small(self, rng):
         batch = random_batch(rng, 2, 4)
         tiny = EmbeddingBatch(batch.view_a[:1], batch.view_b[:1], ["s0"])
         with pytest.raises(BatchTooSmallError):
-            build_logits_block(tiny, TemperatureProfile.constant(0.1))
+            build_logits_block(tiny, TemperatureProfile("constant", 0.1, 0.1))
 
     def test_temperatures_within_profile_range(self, rng):
         batch = random_batch(rng, 6, 3)
-        profile = TemperatureProfile.cosine_vanilla(0.07, 0.3)
+        profile = TemperatureProfile("cosine_vanilla", 0.07, 0.3)
         block = build_logits_block(batch, profile)
         assert np.all(block.temperatures >= 0.07 - 1e-12)
         assert np.all(block.temperatures <= 0.3 + 1e-12)
 
     def test_permutation_equivariance(self, rng):
         batch = random_batch(rng, 5, 4, labels=np.array([0, 1, 0, 2, 1]))
-        profile = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+        profile = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
         perm = rng.permutation(5)
         block = build_logits_block(batch, profile)
         block_p = build_logits_block(permuted_batch(batch, perm), profile)
@@ -109,7 +109,7 @@ class TestBuildLogitsBlock:
         rotated = EmbeddingBatch(
             batch.view_a @ q.T, batch.view_b @ q.T, batch.sample_ids
         )
-        profile = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+        profile = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
         b1 = build_logits_block(batch, profile)
         b2 = build_logits_block(rotated, profile)
         assert np.allclose(b1.s, b2.s, atol=1e-10)
@@ -118,7 +118,7 @@ class TestBuildLogitsBlock:
         # antipodal + identical vectors sit exactly on the clamp boundary
         v = np.array([[1.0, 0.0], [-1.0, 0.0]])
         batch = EmbeddingBatch(v, v.copy(), ["x", "y"])
-        block = build_logits_block(batch, TemperatureProfile.constant(1.0))
+        block = build_logits_block(batch, TemperatureProfile("constant", 1.0, 1.0))
         assert np.all(block.s <= 1.0) and np.all(block.s >= -1.0)
 
 
@@ -127,7 +127,7 @@ class TestBlockIndexMaps:
         batch = random_batch(rng, 3, 4)
         anchor, other = block_index_maps(3)
         z = batch.stacked()
-        block = build_logits_block(batch, TemperatureProfile.constant(1.0))
+        block = build_logits_block(batch, TemperatureProfile("constant", 1.0, 1.0))
         for r in range(6):
             for c in range(5):
                 want = float(np.dot(z[anchor[r, c]], z[other[r, c]]))

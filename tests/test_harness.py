@@ -106,7 +106,7 @@ class TestConfigParsing:
         config = config_from_dict({"config_version": 1})
         assert config.synthetic.num_classes == 10
         assert config.encoder.layer_widths == (32, 64, 16)
-        assert config.profile == TemperatureProfile.cosine_vanilla(0.1, 0.2)
+        assert config.profile == TemperatureProfile("cosine_vanilla", 0.1, 0.2)
         assert config.optimizer.lr == 0.06
         assert config.loss_mode is LossMode.DETACHED
 
@@ -437,7 +437,7 @@ class TestMetricsFromDump:
 
 class TestSweep:
     def test_expand_cartesian_product(self, tmp_path):
-        profiles = [TemperatureProfile.constant(0.1), TemperatureProfile.cosine_vanilla(0.1, 0.2)]
+        profiles = [TemperatureProfile("constant", 0.1, 0.1), TemperatureProfile("cosine_vanilla", 0.1, 0.2)]
         sweep = SweepSpec(base=tiny_config(), profiles=profiles, lrs=[0.5, 0.25], seeds=[0, 1, 2])
         configs = sweep.expand(None)
         assert len(configs) == 12

@@ -32,15 +32,15 @@ from dystress.loss import (
 from dystress.numeric import finite_difference_grad, max_relative_error
 from dystress.temperature import TAU_MIN_FLOOR, TemperatureProfile
 
-COSINE = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+COSINE = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
 
 ALL_VARIANTS = [
-    TemperatureProfile.constant(0.15),
+    TemperatureProfile("constant", 0.15, 0.15),
     COSINE,
-    TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7),
-    TemperatureProfile.linear(0.1, 0.3),
-    TemperatureProfile.exponential(0.1, 0.3, sharpness=2.0),
-    TemperatureProfile.monotonic_cosine(0.1, 0.2),
+    TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7),
+    TemperatureProfile("linear", 0.1, 0.3),
+    TemperatureProfile("exponential", 0.1, 0.3, sharpness=2.0),
+    TemperatureProfile("monotonic_cosine", 0.1, 0.2),
 ]
 
 
@@ -56,13 +56,13 @@ class TestForward:
     def test_orthogonal_batch_ln3(self):
         v = np.eye(4)
         batch = EmbeddingBatch(v[:2], v[2:], ["a", "b"])
-        value = forward(batch, TemperatureProfile.constant(1.0))
+        value = forward(batch, TemperatureProfile("constant", 1.0, 1.0))
         assert abs(value - math.log(3.0)) < 1e-12
 
     def test_matches_independent_ntxent(self, rng):
         for _ in range(20):
             batch = random_batch(rng, 8, 16)
-            ours = forward(batch, TemperatureProfile.constant(0.1))
+            ours = forward(batch, TemperatureProfile("constant", 0.1, 0.1))
             ref = reference_ntxent(batch.view_a, batch.view_b, 0.1)
             assert abs(ours - ref) < 1e-10
 
@@ -94,7 +94,7 @@ class TestGradWrtSimilarity:
             temperatures=temps,
             scaled=scaled,
             n=n,
-            profile=TemperatureProfile.constant(0.1),
+            profile=TemperatureProfile("constant", 0.1, 0.1),
         )
         g = grad_wrt_similarity(block)
         assert abs(g[0, 0] - (-1.25)) < 1e-12  # rows 0, 2 have positive at col 0
@@ -102,7 +102,7 @@ class TestGradWrtSimilarity:
 
     def test_constant_profile_coupled_equals_detached(self, rng):
         batch = random_batch(rng, 4, 6)
-        block = build_logits_block(batch, TemperatureProfile.constant(0.1))
+        block = build_logits_block(batch, TemperatureProfile("constant", 0.1, 0.1))
         gd = grad_wrt_similarity(block, LossMode.DETACHED)
         gc = grad_wrt_similarity(block, LossMode.COUPLED)
         assert np.array_equal(gd, gc)
@@ -158,7 +158,7 @@ class TestGradWrtEmbeddings:
         n = 4
         v = np.eye(n)
         batch = EmbeddingBatch(v, v.copy(), [f"s{i}" for i in range(n)])
-        bundle = grad_wrt_embeddings(batch.stacked(), TemperatureProfile.constant(0.2))
+        bundle = grad_wrt_embeddings(batch.stacked(), TemperatureProfile("constant", 0.2, 0.2))
         g0 = bundle.dL_dz[0]
         others = [float(g0 @ v[j]) for j in range(1, n)]
         assert np.allclose(others, others[0], atol=1e-12)
@@ -166,7 +166,7 @@ class TestGradWrtEmbeddings:
 
     def test_constant_profile_modes_bit_identical(self, rng):
         batch = random_batch(rng, 5, 8)
-        const = TemperatureProfile.constant(0.15)
+        const = TemperatureProfile("constant", 0.15, 0.15)
         a = grad_wrt_embeddings(batch.stacked(), const, LossMode.DETACHED)
         b = grad_wrt_embeddings(batch.stacked(), const, LossMode.COUPLED)
         assert np.array_equal(a.dL_dz, b.dL_dz)
@@ -228,9 +228,9 @@ class TestGramKernel:
     @pytest.mark.parametrize(
         "profile",
         [
-            TemperatureProfile.constant(TAU_MIN_FLOOR),
-            TemperatureProfile.cosine_vanilla(TAU_MIN_FLOOR, 0.2),
-            TemperatureProfile.exponential(TAU_MIN_FLOOR, 0.2, sharpness=2.0),
+            TemperatureProfile("constant", TAU_MIN_FLOOR, TAU_MIN_FLOOR),
+            TemperatureProfile("cosine_vanilla", TAU_MIN_FLOOR, 0.2),
+            TemperatureProfile("exponential", TAU_MIN_FLOOR, 0.2, sharpness=2.0),
         ],
         ids=lambda p: p.variant,
     )
@@ -300,7 +300,7 @@ class TestNtXentEquivalence:
         # independently coded scalar reference
         for _ in range(10):
             batch = random_batch(rng, 6, 8)
-            const = TemperatureProfile.constant(0.1)
+            const = TemperatureProfile("constant", 0.1, 0.1)
             ours = grad_wrt_embeddings(batch.stacked(), const)
             assert abs(ours.loss - reference_ntxent(batch.view_a, batch.view_b, 0.1)) < 1e-10
             ref_dz = reference_grad_dz(batch.view_a, batch.view_b, const)

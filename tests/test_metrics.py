@@ -232,9 +232,9 @@ class TestPairHistograms:
         n = 8
         batch = random_batch(rng, n, 5, labels=np.arange(n) % 2)
         hist = pair_histograms(batch)
-        total = sum(hist.total(kind) for kind in PairKind)
+        total = sum(int(hist.counts[kind].sum()) for kind in PairKind)
         assert total == 2 * n * (2 * n - 1)
-        assert hist.total(PairKind.TRUE_POSITIVE) == 2 * n
+        assert int(hist.counts[PairKind.TRUE_POSITIVE].sum()) == 2 * n
 
     def test_permutation_invariant_counts(self, rng):
         n = 7

@@ -49,7 +49,7 @@ def profiles(draw, rounded=lambda x: x):
     )
     tau_min, tau_max = sorted(draw(temperature) for _ in range(2))
     if variant == "constant":
-        return TemperatureProfile.constant(tau_min)
+        return TemperatureProfile("constant", tau_min, tau_min)
     extras = {}
     if variant == "cosine_shifted":
         extras["shift"] = rounded(draw(st.floats(-1.0, 1.0)))
@@ -174,7 +174,7 @@ def exponential_reference(profile, s):
     st.floats(-1.0, 1.0),
 )
 def test_exponential_matches_high_precision(tau_min, spread, sharpness, s):
-    profile = TemperatureProfile.exponential(tau_min, tau_min + spread, sharpness)
+    profile = TemperatureProfile("exponential", tau_min, tau_min + spread, sharpness=sharpness)
     tau, slope = exponential_reference(profile, s)
     assert abs(profile.tau(s) - tau) <= 1e-12 * tau
     assert abs(profile.dtau_ds(s) - slope) <= 1e-12 * abs(slope) + 1e-300

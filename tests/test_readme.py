@@ -15,6 +15,7 @@ import pytest
 import dystress
 from dystress import cli
 from dystress.harness import ExperimentConfig, config_from_dict, sweep_from_dict
+from dystress.temperature import PROFILE_FORMS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -44,6 +45,13 @@ def test_json_blocks_parse():
     config, sweep = (json.loads(block) for block in readme_blocks("json"))
     assert config_from_dict(config) == ExperimentConfig()
     assert len(sweep_from_dict(sweep).expand(None)) == 6
+
+
+def test_profile_names_are_profile_forms():
+    match = re.search(r"Profile names:(.*?)\.\s", README.read_text(encoding="utf-8"), re.S)
+    assert match, "README.md has no 'Profile names:' sentence"
+    spellings = [name for form in PROFILE_FORMS.values() for name in form.names]
+    assert re.findall(r"`([^`]+)`", match.group(1)) == spellings
 
 
 def tour_names() -> set[str]:

@@ -24,12 +24,12 @@ from dystress.numeric import Rng
 from dystress.temperature import TemperatureProfile
 
 ALL_VARIANTS = [
-    TemperatureProfile.constant(0.15),
-    TemperatureProfile.cosine_vanilla(0.1, 0.2),
-    TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7),
-    TemperatureProfile.linear(0.1, 0.3),
-    TemperatureProfile.exponential(0.1, 0.3, sharpness=2.0),
-    TemperatureProfile.monotonic_cosine(0.1, 0.2),
+    TemperatureProfile("constant", 0.15, 0.15),
+    TemperatureProfile("cosine_vanilla", 0.1, 0.2),
+    TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7),
+    TemperatureProfile("linear", 0.1, 0.3),
+    TemperatureProfile("exponential", 0.1, 0.3, sharpness=2.0),
+    TemperatureProfile("monotonic_cosine", 0.1, 0.2),
 ]
 SIZES = [2, 3, 7, 64, 257]
 CHUNK_ROWS = [1, 3]
@@ -68,7 +68,7 @@ def reference_knn(train_points, train_labels, test_points, test_labels, k, weigh
 
 
 def reference_histogram_counts(batch, bins):
-    block = build_logits_block(batch, TemperatureProfile.constant(1.0))
+    block = build_logits_block(batch, TemperatureProfile("constant", 1.0, 1.0))
     kinds = classify_pairs(batch)
     edges = np.linspace(-1.0, 1.0, bins + 1)
     return {kind: np.histogram(block.s[kinds == kind], bins=edges)[0] for kind in PairKind}

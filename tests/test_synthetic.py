@@ -247,9 +247,11 @@ class TestDatasetDump:
             '{"id": "b", "label": 1, "x": [1.0]}',
             '{"id": "b", "label": 1, "x": "01"}',
             "[" * 100000,
+            '{"id": "a", "label": 1, "x": [1.0, 2.0]}',
         ],
         ids=[
             "label-beyond-int64", "label-float", "label-bool", "label-string", "x-ragged", "x-string", "deep-nesting",
+            "id-repeated",
         ],
     )
     def test_bad_value_rejected_with_line(self, tmp_path, line):

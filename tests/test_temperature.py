@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dystress.errors import DomainError, NumericError, ValidationError
+from dystress.errors import DomainError, NumericError, ValidationError, from_section
 from dystress.numeric import Rng
 from dystress.temperature import (
     TAU_MIN_FLOOR,
@@ -23,21 +23,21 @@ from dystress.temperature import (
 )
 
 ALL_PROFILES = [
-    TemperatureProfile.constant(0.13),
-    TemperatureProfile.cosine_vanilla(0.1, 0.2),
-    TemperatureProfile.cosine_shifted(0.1, 0.2, shift=-0.4, scale=0.7),
-    TemperatureProfile.cosine_shifted(0.1, 0.2, shift=0.2, scale=0.6),
-    TemperatureProfile.linear(0.07, 0.3),
-    TemperatureProfile.exponential(0.07, 0.3, sharpness=2.0),
-    TemperatureProfile.monotonic_cosine(0.1, 0.2),
+    TemperatureProfile("constant", 0.13, 0.13),
+    TemperatureProfile("cosine_vanilla", 0.1, 0.2),
+    TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7),
+    TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=0.2, scale=0.6),
+    TemperatureProfile("linear", 0.07, 0.3),
+    TemperatureProfile("exponential", 0.07, 0.3, sharpness=2.0),
+    TemperatureProfile("monotonic_cosine", 0.1, 0.2),
 ]
 
 
 CLIP_PROFILES = ALL_PROFILES + [
-    TemperatureProfile.cosine_vanilla(0.07, 0.5),
-    TemperatureProfile.exponential(0.07, 0.3, sharpness=700.0),
+    TemperatureProfile("cosine_vanilla", 0.07, 0.5),
+    TemperatureProfile("exponential", 0.07, 0.3, sharpness=700.0),
 ] + [
-    TemperatureProfile.cosine_shifted(0.1, 0.2, shift=s, scale=k)
+    TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=s, scale=k)
     for s, k in [(0.0, 0.5), (0.4, 0.7), (-0.2, 0.6), (0.6, 1.3), (-1.0, 2.0)]
 ]
 
@@ -93,24 +93,24 @@ def window_edge_grid(profile):
 
 class TestTau:
     def test_vanilla_endpoints_and_minimum(self):
-        p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+        p = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
         assert abs(p.tau(-1.0) - 0.2) < 1e-12
         assert abs(p.tau(1.0) - 0.2) < 1e-12
         assert abs(p.tau(0.0) - 0.1) < 1e-12
 
     def test_vanilla_quarter_period(self):
-        p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+        p = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
         assert abs(p.tau(0.5) - 0.15) < 1e-12
 
     def test_shifted_examples(self):
-        p = TemperatureProfile.cosine_shifted(0.1, 0.2, shift=-0.4, scale=0.7)
+        p = TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7)
         assert abs(p.tau(-0.3) - 0.1) < 1e-12  # cosine argument is exactly -pi
         assert abs(p.tau(0.4) - 0.2) < 1e-12   # cosine argument is exactly 0
         assert abs(p.tau(0.9) - 0.2) < 1e-12   # outside the window: pinned to tau_max
 
     def test_shifted_continuity_at_window_boundary(self):
         for shift, scale in [(-0.4, 0.7), (0.2, 0.6), (0.0, 0.5), (0.6, 1.3)]:
-            p = TemperatureProfile.cosine_shifted(0.1, 0.2, shift=shift, scale=scale)
+            p = TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=shift, scale=scale)
             boundary = -shift
             if abs(boundary) <= 1.0:
                 left = p.tau(max(-1.0, boundary - 1e-13))
@@ -118,18 +118,18 @@ class TestTau:
                 assert abs(left - right) < 1e-12
 
     def test_constant(self):
-        p = TemperatureProfile.constant(0.07)
+        p = TemperatureProfile("constant", 0.07, 0.07)
         for s in (-1.0, -0.2, 0.0, 0.9, 1.0):
             assert p.tau(s) == 0.07
 
     def test_monotonic_cosine_endpoints(self):
-        p = TemperatureProfile.monotonic_cosine(0.1, 0.2)
+        p = TemperatureProfile("monotonic_cosine", 0.1, 0.2)
         assert abs(p.tau(-1.0) - 0.1) < 1e-12
         assert abs(p.tau(1.0) - 0.2) < 1e-12
 
     def test_linear_and_exponential_extremes(self):
-        lin = TemperatureProfile.linear(0.07, 0.3)
-        exp = TemperatureProfile.exponential(0.07, 0.3)
+        lin = TemperatureProfile("linear", 0.07, 0.3)
+        exp = TemperatureProfile("exponential", 0.07, 0.3)
         for p in (lin, exp):
             assert abs(p.tau(0.0) - 0.07) < 1e-12
             assert abs(p.tau(1.0) - 0.3) < 1e-12
@@ -192,7 +192,7 @@ class TestTau:
         assert profile.dtau_ds(s[-1]) == unclipped_dtau(profile, s[-1:])[0]  # a scalar s takes the same path
 
     def test_domain_error_beyond_slack(self):
-        p = TemperatureProfile.cosine_vanilla(0.1, 0.2)
+        p = TemperatureProfile("cosine_vanilla", 0.1, 0.2)
         with pytest.raises(DomainError):
             p.tau(1.1)
         assert abs(p.tau(1.0 + 1e-10) - 0.2) < 1e-12  # inside the slack: clamped
@@ -204,15 +204,15 @@ class TestTau:
         s_neg = np.linspace(-0.999, -0.001, 101)
         s_pos = np.linspace(0.001, 0.999, 101)
         for profile in (
-            TemperatureProfile.cosine_vanilla(0.1, 0.2),
-            TemperatureProfile.linear(0.1, 0.2),
-            TemperatureProfile.exponential(0.1, 0.2),
+            TemperatureProfile("cosine_vanilla", 0.1, 0.2),
+            TemperatureProfile("linear", 0.1, 0.2),
+            TemperatureProfile("exponential", 0.1, 0.2),
         ):
             dneg = (profile.tau(s_neg + h) - profile.tau(s_neg - h)) / (2 * h)
             dpos = (profile.tau(s_pos + h) - profile.tau(s_pos - h)) / (2 * h)
             assert np.all(dneg < 0), profile.variant
             assert np.all(dpos > 0), profile.variant
-        mono = TemperatureProfile.monotonic_cosine(0.1, 0.2)
+        mono = TemperatureProfile("monotonic_cosine", 0.1, 0.2)
         s_all = np.linspace(-0.999, 0.999, 201)
         dall = (mono.tau(s_all + h) - mono.tau(s_all - h)) / (2 * h)
         assert np.all(dall >= 0)
@@ -232,22 +232,22 @@ class TestTau:
 
     def test_validation(self):
         with pytest.raises(ValidationError):
-            TemperatureProfile.cosine_vanilla(0.2, 0.1)
+            TemperatureProfile("cosine_vanilla", 0.2, 0.1)
         with pytest.raises(ValidationError):
-            TemperatureProfile.cosine_vanilla(0.0, 0.1)
+            TemperatureProfile("cosine_vanilla", 0.0, 0.1)
         with pytest.raises(ValidationError):
-            TemperatureProfile.cosine_shifted(0.1, 0.2, shift=0.0, scale=2.5)
+            TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=0.0, scale=2.5)
         with pytest.raises(ValidationError):
-            TemperatureProfile.cosine_shifted(0.1, 0.2, shift=1.5, scale=0.5)
+            TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=1.5, scale=0.5)
         with pytest.raises(ValidationError):
-            TemperatureProfile.exponential(0.1, 0.2, sharpness=0.0)
+            TemperatureProfile("exponential", 0.1, 0.2, sharpness=0.0)
 
     def test_tau_min_floor(self):
         # the loss shifts every logit by 1/tau_min; below 1/350 its smallest
         # exp, exp(-2/tau_min), would leave the normal doubles
         assert TAU_MIN_FLOOR == 1.0 / 350.0
-        TemperatureProfile.constant(TAU_MIN_FLOOR)
-        TemperatureProfile.cosine_vanilla(TAU_MIN_FLOOR, 0.2)
+        TemperatureProfile("constant", TAU_MIN_FLOOR, TAU_MIN_FLOOR)
+        TemperatureProfile("cosine_vanilla", TAU_MIN_FLOOR, 0.2)
         for variant in ("constant", "cosine_vanilla", "exponential"):
             with pytest.raises(ValidationError, match="1/350"):
                 TemperatureProfile(variant, 1.0 / 351.0, 1.0 / 351.0)
@@ -255,7 +255,7 @@ class TestTau:
     def test_exponential_does_not_overflow_at_large_sharpness(self):
         # exp(a|s|) overflows for a = 700 near |s| = 1; the profile must still
         # follow its formula there instead of clipping inf to tau_max
-        p = TemperatureProfile.exponential(0.1, 1e6, 700.0)
+        p = TemperatureProfile("exponential", 0.1, 1e6, sharpness=700.0)
         with np.errstate(over="raise"):
             assert abs(p.tau(0.999) - 496585.3541328788) < 1e-6
             assert abs(p.tau(-0.999) - 496585.3541328788) < 1e-6
@@ -270,18 +270,18 @@ class TestTau:
     @pytest.mark.parametrize(
         "spec, expected",
         [
-            ("constant:0.1", TemperatureProfile.constant(0.1)),
-            ("cosine:0.1:0.2", TemperatureProfile.cosine_vanilla(0.1, 0.2)),
-            ("Cosine_Vanilla:0.1:0.2", TemperatureProfile.cosine_vanilla(0.1, 0.2)),
-            ("shifted:0.1:0.2:-0.4:0.7", TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7)),
-            ("cosine_shifted:0.1:0.2:-0.4:0.7", TemperatureProfile.cosine_shifted(0.1, 0.2, -0.4, 0.7)),
-            ("linear:0.1:0.2", TemperatureProfile.linear(0.1, 0.2)),
-            ("exp:0.1:0.2", TemperatureProfile.exponential(0.1, 0.2)),
-            ("exp:0.1:0.2:3", TemperatureProfile.exponential(0.1, 0.2, 3.0)),
-            ("exponential:0.1:0.2", TemperatureProfile.exponential(0.1, 0.2)),
-            ("exponential:0.1:0.2:3", TemperatureProfile.exponential(0.1, 0.2, 3.0)),
-            ("monotonic:0.1:0.2", TemperatureProfile.monotonic_cosine(0.1, 0.2)),
-            ("monotonic_cosine:0.1:0.2", TemperatureProfile.monotonic_cosine(0.1, 0.2)),
+            ("constant:0.1", TemperatureProfile("constant", 0.1, 0.1)),
+            ("cosine:0.1:0.2", TemperatureProfile("cosine_vanilla", 0.1, 0.2)),
+            ("Cosine_Vanilla:0.1:0.2", TemperatureProfile("cosine_vanilla", 0.1, 0.2)),
+            ("shifted:0.1:0.2:-0.4:0.7", TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7)),
+            ("cosine_shifted:0.1:0.2:-0.4:0.7", TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.4, scale=0.7)),
+            ("linear:0.1:0.2", TemperatureProfile("linear", 0.1, 0.2)),
+            ("exp:0.1:0.2", TemperatureProfile("exponential", 0.1, 0.2)),
+            ("exp:0.1:0.2:3", TemperatureProfile("exponential", 0.1, 0.2, sharpness=3.0)),
+            ("exponential:0.1:0.2", TemperatureProfile("exponential", 0.1, 0.2)),
+            ("exponential:0.1:0.2:3", TemperatureProfile("exponential", 0.1, 0.2, sharpness=3.0)),
+            ("monotonic:0.1:0.2", TemperatureProfile("monotonic_cosine", 0.1, 0.2)),
+            ("monotonic_cosine:0.1:0.2", TemperatureProfile("monotonic_cosine", 0.1, 0.2)),
         ],
     )
     def test_spec_string_spellings(self, spec, expected):
@@ -310,18 +310,20 @@ class TestTau:
         # subnormal scale makes pi / scale infinite
         for sharpness in (800.0, 1e-17, float("nan")):
             with pytest.raises(ValidationError, match="sharpness"):
-                TemperatureProfile.exponential(0.1, 0.2, sharpness=sharpness)
+                TemperatureProfile("exponential", 0.1, 0.2, sharpness=sharpness)
         for scale in (5e-324, float("nan")):
             with pytest.raises(ValidationError, match="scale"):
-                TemperatureProfile.cosine_shifted(0.1, 0.2, shift=0.0, scale=scale)
+                TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=0.0, scale=scale)
         with pytest.raises(ValidationError):
-            TemperatureProfile.cosine_vanilla(0.1, float("inf"))
+            TemperatureProfile("cosine_vanilla", 0.1, float("inf"))
 
     def test_dict_round_trip_and_unknown_fields(self):
-        p = TemperatureProfile.cosine_shifted(0.1, 0.2, shift=-0.2, scale=0.6)
-        assert TemperatureProfile.from_dict(p.to_dict()) == p
+        p = TemperatureProfile("cosine_shifted", 0.1, 0.2, shift=-0.2, scale=0.6)
+        assert from_section(TemperatureProfile, p.to_dict(), "profile") == p
         with pytest.raises(ValidationError):
-            TemperatureProfile.from_dict({"variant": "constant", "tau_min": 0.1, "tau_max": 0.1, "oops": 1})
+            from_section(
+                TemperatureProfile, {"variant": "constant", "tau_min": 0.1, "tau_max": 0.1, "oops": 1}, "profile"
+            )
 
 
     @pytest.mark.parametrize(
@@ -347,7 +349,7 @@ class TestTau:
 
 class TestProfileCurve:
     def test_shape_and_span(self):
-        table = profile_curve(TemperatureProfile.cosine_vanilla(0.1, 0.2), 5)
+        table = profile_curve(TemperatureProfile("cosine_vanilla", 0.1, 0.2), 5)
         assert table.shape == (5, 2)
         assert table[0, 0] == -1.0 and table[-1, 0] == 1.0
 
@@ -491,11 +493,11 @@ class TestProposition1:
         assert cell.valid_points == 0
 
     def test_sample_constants_interior(self):
-        cs = sample_constants(-10.0, -158.0, 8)
+        cs = sample_constants(-158.0, -10.0, 8)
         assert len(cs) == 8
         assert np.all(cs > -158.0) and np.all(cs < -10.0)
         with pytest.raises(ValidationError):
-            sample_constants(-10.0, -158.0, 1)
+            sample_constants(-158.0, -10.0, 1)
 
     def test_small_grid_report(self):
         report = verify_proposition1([1.0], [10.0], 0.2, c_count=4, s_count=501)
