@@ -70,9 +70,7 @@ from .metrics import (
 from .numeric import Rng, finite_difference_grad, max_relative_error, stable_row_softmax
 from .synthetic import Dataset, SyntheticSpec, generate, make_batches
 from .temperature import (
-    OdeCurve,
     OdeParams,
-    Proposition1Report,
     TemperatureProfile,
     boundary_constants,
     family_bounds,

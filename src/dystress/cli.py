@@ -67,8 +67,9 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--d", type=int, default=8)
-    p.add_argument("--profile", default="cosine:0.1:0.2", help=PROFILE_HELP)
-    p.add_argument("--mode", choices=["detached", "coupled"], default="detached")
+    defaults = harness.ExperimentConfig()
+    p.add_argument("--profile", default=defaults.profile.spec_string(), help=PROFILE_HELP)
+    p.add_argument("--mode", choices=[mode.value for mode in LossMode], default=defaults.loss_mode.value)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
 
@@ -111,16 +112,16 @@ def _cmd_temp_profile(args) -> int:
 
 
 def _cmd_ode_verify(args) -> int:
-    report = temperature.verify_proposition1(
+    cells = temperature.verify_proposition1(
         delta_grid=args.delta,
         bigK_grid=args.bigk,
         tau_max=args.tau_max,
         c_count=args.c_count,
         s_count=args.s_count,
     )
-    temperature.write_ode_report_csv(args.out, report)
-    print(temperature.summarize_ode_report(report))
-    return EXIT_OK if report.all_pass else EXIT_NUMERIC
+    temperature.write_ode_report_csv(args.out, cells)
+    print(temperature.summarize_ode_report(cells))
+    return EXIT_OK if cells and all(cell.passed for cell in cells) else EXIT_NUMERIC
 
 
 def _cmd_gradcheck(args) -> int:

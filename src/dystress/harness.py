@@ -74,9 +74,8 @@ class ExperimentConfig:
         try:
             object.__setattr__(self, "loss_mode", loss_mod.LossMode(self.loss_mode))
         except ValueError as err:
-            raise ValidationError(
-                f"loss_mode must be 'detached' or 'coupled', got {self.loss_mode!r}"
-            ) from err
+            names = " or ".join(repr(mode.value) for mode in loss_mod.LossMode)
+            raise ValidationError(f"loss_mode must be {names}, got {self.loss_mode!r}") from err
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", Path(self.out_dir))
         if self.encoder.layer_widths[0] != self.synthetic.ambient_dim:

@@ -8,15 +8,18 @@ for the shifted one. The shifted profile moves the minimum and rescales the
 period; as printed in its source algorithm, it is pinned to tau_max outside
 its cosine window. Linear and exponential variants share the range contract.
 
-The verifier numerically differentiates the closed-form curve
-tau(s) = s / log(delta*K*s - c) and checks that the slope sign matches the
-sign of s over a grid of (delta, K, c) cells.
+The verifier works on plain arrays: `ode_curve` evaluates the closed-form
+curve tau(s) = s / log(delta*K*s - c) of an `OdeParams(delta, bigK, c)` and
+returns (tau, valid), and `verify_proposition1` checks by central
+differences that the slope sign matches the sign of s on every curve of a
+(delta, K, c) grid, returning one `SlopeCell` per curve.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -69,12 +72,13 @@ class TemperatureProfile:
     """Tagged temperature function tau(s) over cosine similarity s in [-1, 1].
 
     Every variant maps into [tau_min, tau_max] and takes the shape fields
-    PROFILE_FORMS lists for it; the others keep their defaults.
+    PROFILE_FORMS lists for it; the others keep their defaults. A constant's
+    tau_max, when given, must be its tau_min, which is what it defaults to.
     """
 
     variant: str
     tau_min: float
-    tau_max: float
+    tau_max: float | None = None
     shift: float = 0.0      # delta-s of the shifted cosine window
     scale: float = 1.0      # k, its period scale
     sharpness: float = 1.0  # a of the exponential
@@ -82,12 +86,16 @@ class TemperatureProfile:
     def __post_init__(self):
         if self.variant not in PROFILE_FORMS:
             raise ValidationError(f"unknown profile variant {self.variant!r}")
-        carried = PROFILE_FORMS[self.variant].values
+        carried = ("tau_max", *PROFILE_FORMS[self.variant].values)  # a constant's tau_max is checked below
         for f in fields(self):  # a shape field the variant ignores must keep its default
             value = getattr(self, f.name)
             if f.default is not MISSING and f.name not in carried and value != f.default:
                 raise ValidationError(f"{self.variant} profile takes no {f.name} (got {value!r})")
-        if self.variant == "constant" and self.tau_max != self.tau_min:  # its spec string drops tau_max
+        if self.tau_max is None:  # a constant's spec string drops it
+            if self.variant != "constant":
+                raise ValidationError(f"{self.variant} profile needs a tau_max")
+            object.__setattr__(self, "tau_max", self.tau_min)
+        elif self.variant == "constant" and self.tau_max != self.tau_min:
             raise ValidationError(
                 f"constant profile takes no tau_max other than tau_min {self.tau_min!r} (got {self.tau_max!r})"
             )
@@ -192,9 +200,10 @@ class TemperatureProfile:
         return d
 
     def spec_string(self) -> str:
-        """Compact CLI form, e.g. cosine:0.1:0.2 or shifted:0.1:0.2:-0.4:0.7."""
+        """Compact CLI form, e.g. cosine:0.1:0.2 or shifted:0.1:0.2:-0.4:0.7, that parses back to this profile."""
         form = PROFILE_FORMS[self.variant]
-        return ":".join([form.names[0]] + [f"{getattr(self, name):g}" for name in form.values])
+        values = [fmt(getattr(self, name)).removesuffix(".0") for name in form.values]
+        return ":".join([form.names[0]] + values)
 
     @classmethod
     def from_spec_string(cls, spec: str) -> "TemperatureProfile":
@@ -208,9 +217,7 @@ class TemperatureProfile:
         form = PROFILE_FORMS[variant]
         if not form.required <= len(values) <= len(form.values):
             raise ValidationError(f"{name} takes the values {':'.join(form.values)}, got {len(values)}")
-        spec_fields = dict(zip(form.values, values))
-        spec_fields.setdefault("tau_max", spec_fields["tau_min"])  # a constant's one tau
-        return cls(variant, **spec_fields)
+        return cls(variant, **dict(zip(form.values, values)))
 
 
 def profile_curve(profile: TemperatureProfile, samples: int) -> np.ndarray:
@@ -238,32 +245,17 @@ class OdeParams:
 
     delta: float
     bigK: float
-    tau_max: float
     c: float
 
     def __post_init__(self):
-        _check_curve_args(self.delta, self.bigK, self.tau_max)
+        for name in ("delta", "bigK"):
+            check_float(name, getattr(self, name), 0.0, open_low=True)
 
 
-@dataclass
-class OdeCurve:
-    """Sampled curve with a validity mask (invalid points kept, not dropped)."""
-
-    s: np.ndarray
-    tau: np.ndarray
-    valid: np.ndarray
-    params: OdeParams
-
-
-def _check_curve_args(delta: float, bigK: float, tau_max: float) -> None:
-    """The curve parameters must be positive and finite."""
+def _anchor_product(delta: float, bigK: float, tau_max: float) -> float:
+    """delta*K, once delta, K and tau_max are positive and finite and exp(1/tau_max) fits a double."""
     for name, value in (("delta", delta), ("bigK", bigK), ("tau_max", tau_max)):
         check_float(name, value, 0.0, open_low=True)
-
-
-def _check_constant_args(delta: float, bigK: float, tau_max: float) -> float:
-    """Validate the curve parameters and return delta*K."""
-    _check_curve_args(delta, bigK, tau_max)
     if 1.0 / tau_max > 709.0:
         raise NumericError(f"exp(1/tau_max) overflows float64 for tau_max = {tau_max}")
     return delta * bigK
@@ -277,10 +269,8 @@ def boundary_constants(delta: float, bigK: float, tau_max: float) -> tuple[float
     solves tau(+1) = tau_max. c_plus < c_minus exactly when
     delta*K < sinh(1/tau_max); otherwise the order is reversed.
     """
-    dk = _check_constant_args(delta, bigK, tau_max)
-    c_minus = -dk - math.exp(-1.0 / tau_max)
-    c_plus = dk - math.exp(1.0 / tau_max)
-    return c_minus, c_plus
+    dk = _anchor_product(delta, bigK, tau_max)
+    return -dk - math.exp(-1.0 / tau_max), dk - math.exp(1.0 / tau_max)
 
 
 def family_bounds(delta: float, bigK: float, tau_max: float) -> tuple[float, float]:
@@ -291,12 +281,12 @@ def family_bounds(delta: float, bigK: float, tau_max: float) -> tuple[float, flo
     that tau(-1) = -tau_max and tau(-1) = tau_max. c_high is c_minus of
     boundary_constants; c_low anchors no endpoint. c_low < c_high always.
     """
-    dk = _check_constant_args(delta, bigK, tau_max)
+    dk = _anchor_product(delta, bigK, tau_max)
     return -dk - math.exp(1.0 / tau_max), -dk - math.exp(-1.0 / tau_max)
 
 
-def ode_curve(params: OdeParams, grid: Sequence[float]) -> OdeCurve:
-    """Evaluate tau(s) = s / log(delta*K*s - c) over the grid.
+def ode_curve(params: OdeParams, grid: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, valid): tau(s) = s / log(delta*K*s - c) over the grid, and its validity mask.
 
     Grid points where the log argument is non-positive, within the
     singularity band |arg - 1| < 1e-6 (or within 1e-6 of the root of
@@ -320,52 +310,45 @@ def ode_curve(params: OdeParams, grid: Sequence[float]) -> OdeCurve:
         & np.isfinite(tau)
         & (tau > 0)
     )
-    return OdeCurve(s=s, tau=tau, valid=valid, params=params)
+    return tau, valid
 
 
 @dataclass
 class SlopeCell:
-    """Sign-check summary for one (delta, K, c) combination."""
+    """Sign-check summary for one (delta, K, c) curve."""
 
     delta: float
     bigK: float
     c: float
-    frac_correct_sign: float
+    frac_correct_sign: float  # NaN when no point was checked
     valid_points: int  # checked points
     negative_points: int  # checked points with s < 0; the rest have s > 0
-    insufficient_samples: bool
+
+    @property
+    def insufficient_samples(self) -> bool:
+        return self.valid_points == 0
 
     @property
     def passed(self) -> bool:
-        return not self.insufficient_samples and self.frac_correct_sign == 1.0
-
-
-@dataclass
-class Proposition1Report:
-    cells: list[SlopeCell] = field(default_factory=list)
-
-    @property
-    def all_pass(self) -> bool:
-        return bool(self.cells) and all(c.passed for c in self.cells)
+        return self.frac_correct_sign == 1.0
 
 
 def slope_sign_cell(params: OdeParams, grid: np.ndarray) -> SlopeCell:
     """Central-difference slope signs of one curve against sign(s).
 
     Points near the stationary point (|s| < 1e-3), invalid points, and points
-    whose finite-difference neighbors are invalid are excluded.
+    whose finite-difference neighbors are invalid are excluded; a grid of
+    fewer than 3 points checks none.
     """
-    curve = ode_curve(params, grid)
-    s, tau, valid = curve.s, curve.tau, curve.valid
+    s = np.asarray(grid, dtype=np.float64)
+    tau, valid = ode_curve(params, s)
     checked = valid[1:-1] & valid[:-2] & valid[2:] & (np.abs(s[1:-1]) >= SLOPE_SIGN_EXCLUSION)
-    count = int(checked.sum())
-    if count == 0:  # also every grid of fewer than 3 points
-        return SlopeCell(params.delta, params.bigK, params.c, float("nan"), 0, 0, True)
+    s_checked = s[1:-1][checked]
+    count = s_checked.size
     slope = (tau[2:] - tau[:-2]) / (s[2:] - s[:-2])
-    correct = np.sign(slope[checked]) == np.sign(s[1:-1][checked])
-    frac = float(np.count_nonzero(correct)) / count
-    negative = int(np.count_nonzero(s[1:-1][checked] < 0))
-    return SlopeCell(params.delta, params.bigK, params.c, frac, count, negative, False)
+    correct = np.count_nonzero(np.sign(slope[checked]) == np.sign(s_checked))
+    frac = correct / count if count else math.nan
+    return SlopeCell(params.delta, params.bigK, params.c, frac, count, int(np.count_nonzero(s_checked < 0)))
 
 
 def sample_constants(c_low: float, c_high: float, c_count: int) -> np.ndarray:
@@ -387,38 +370,37 @@ def verify_proposition1(
     tau_max: float,
     c_count: int,
     s_count: int,
-) -> Proposition1Report:
-    """Check sign(dtau/ds) == sign(s) over a (delta, K, c) grid of curves."""
+) -> list[SlopeCell]:
+    """Check sign(dtau/ds) == sign(s) over a (delta, K, c) grid of curves, one cell per curve."""
     if len(delta_grid) == 0 or len(bigK_grid) == 0:
         raise ValidationError("delta and K grids must be non-empty")
     grid = np.linspace(-1.0, 1.0, check_int("s_count", s_count, 0))
-    report = Proposition1Report()
-    for delta in delta_grid:
-        for bigK in bigK_grid:
-            for c in sample_constants(*family_bounds(delta, bigK, tau_max), c_count):
-                cell = slope_sign_cell(OdeParams(delta, bigK, tau_max, float(c)), grid)
-                report.cells.append(cell)
-    return report
+    return [
+        slope_sign_cell(OdeParams(delta, bigK, float(c)), grid)
+        for delta, bigK in itertools.product(delta_grid, bigK_grid)
+        for c in sample_constants(*family_bounds(delta, bigK, tau_max), c_count)
+    ]
 
 
-def write_ode_report_csv(path: str | Path, report: Proposition1Report) -> None:
+def write_ode_report_csv(path: str | Path, cells: Sequence[SlopeCell]) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write("delta,bigk,c,frac_correct_sign,valid_points\n")
-        for cell in report.cells:
+        for cell in cells:
             fh.write(
                 f"{fmt(cell.delta)},{fmt(cell.bigK)},{fmt(cell.c)},"
                 f"{fmt(cell.frac_correct_sign)},{cell.valid_points}\n"
             )
 
 
-def summarize_ode_report(report: Proposition1Report) -> str:
-    n = len(report.cells)
-    insufficient = sum(c.insufficient_samples for c in report.cells)
-    failed = sum(1 for c in report.cells if not c.passed)
-    negative = sum(c.negative_points > 0 for c in report.cells)
-    positive = sum(c.valid_points > c.negative_points for c in report.cells)
-    status = "PASS" if report.all_pass else "FAIL"
+def summarize_ode_report(cells: Sequence[SlopeCell]) -> str:
+    """One summary line; PASS only when there are cells and every one passed."""
+    n = len(cells)
+    passed = sum(cell.passed for cell in cells)
+    insufficient = sum(cell.insufficient_samples for cell in cells)
+    negative = sum(cell.negative_points > 0 for cell in cells)
+    positive = sum(cell.valid_points > cell.negative_points for cell in cells)
+    status = "PASS" if 0 < n == passed else "FAIL"
     return (
-        f"summary: {status} ({n - failed}/{n} cells with slope-sign fraction 1.0, "
+        f"summary: {status} ({passed}/{n} cells with slope-sign fraction 1.0, "
         f"{insufficient} insufficient; {negative} cells checked s < 0, {positive} checked s > 0)"
     )

@@ -176,14 +176,14 @@ def test_c03_boundary_constants_reproduce_tau_max():
     assert abs(c_minus - (-delta * big_k - math.exp(-1.0 / tau_max))) < 1e-12
     assert abs(c_plus - (delta * big_k - math.exp(1.0 / tau_max))) < 1e-12
 
-    curve_minus = ode_curve(OdeParams(delta, big_k, tau_max, c_minus), [-1.0])
-    assert abs(curve_minus.tau[0] - tau_max) < 1e-10, "c_minus must anchor tau(-1) = tau_max"
+    tau_minus, _ = ode_curve(OdeParams(delta, big_k, c_minus), [-1.0])
+    assert abs(tau_minus[0] - tau_max) < 1e-10, "c_minus must anchor tau(-1) = tau_max"
 
-    curve_plus = ode_curve(OdeParams(delta, big_k, tau_max, c_plus), [1.0])
-    assert abs(curve_plus.tau[0] - tau_max) < 1e-10, (
+    tau_plus, _ = ode_curve(OdeParams(delta, big_k, c_plus), [1.0])
+    assert abs(tau_plus[0] - tau_max) < 1e-10, (
         "c_plus must anchor tau(+1) = tau_max: 1 / log(delta*K - c_plus) = tau_max "
         "solves to c_plus = delta*K - exp(1/tau_max) "
-        f"(got tau(+1) = {float(curve_plus.tau[0])!r})"
+        f"(got tau(+1) = {float(tau_plus[0])!r})"
     )
     report_pass(3, started, "both boundary constants reproduce tau_max at their endpoint")
 

@@ -77,6 +77,7 @@ MALFORMED_CONFIG_VALUES = [
     ("profile.sharpness", 800),
     ("profile.tau_min", 0.002),
     ("profile", {"variant": "constant", "tau_min": 0.1, "tau_max": 0.2}),
+    ("profile", {"variant": "linear", "tau_min": 0.1}),
     ("config_version", True),
     ("config_version", 1.0),
     ("knn_weight_temperature", 1e-300),

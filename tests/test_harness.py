@@ -159,6 +159,13 @@ class TestConfigParsing:
         again = config_from_dict(config.to_dict())
         assert again == config
 
+    def test_constant_profile_needs_no_tau_max(self):
+        config = tiny_config(profile={"variant": "constant", "tau_min": 0.1})
+        assert config.profile == TemperatureProfile("constant", 0.1, 0.1)
+        assert config.to_dict()["profile"]["tau_max"] == 0.1
+        with pytest.raises(ValidationError, match="^config.profile: linear profile needs a tau_max$"):
+            tiny_config(profile={"variant": "linear", "tau_min": 0.1})
+
 
 class TestRunExperiment:
     def test_artifacts_written(self, tmp_path):
@@ -500,6 +507,10 @@ class TestSweep:
         assert len(sweep.profiles) == 1
         with pytest.raises(ValidationError):
             sweep_from_dict({**raw, "extra": 1})
+
+    def test_sweep_constant_profile_needs_no_tau_max(self):
+        raw = {"config_version": 1, "base": TINY, "overrides": {"profiles": [{"variant": "constant", "tau_min": 0.1}]}}
+        assert sweep_from_dict(raw).profiles == [TemperatureProfile("constant", 0.1, 0.1)]
 
     def test_parallel_execution_matches_serial(self, tmp_path):
         sweep = SweepSpec(base=tiny_config(epochs=1), seeds=[0, 1])

@@ -34,28 +34,20 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
-def six_digits(x: float) -> float:
-    """`x` rounded to the six significant digits a spec string keeps."""
-    return float(f"{x:g}")
-
-
 @st.composite
-def profiles(draw, rounded=lambda x: x):
-    """Any valid profile of any variant; `rounded` is applied to every value."""
+def profiles(draw):
+    """Any valid profile of any variant."""
     variant = draw(st.sampled_from(list(PROFILE_FORMS)))
-    # rounding may take a value just above the floor below it
-    temperature = (
-        st.floats(TAU_MIN_FLOOR, allow_infinity=False).map(rounded).filter(lambda x: x >= TAU_MIN_FLOOR)
-    )
+    temperature = st.floats(TAU_MIN_FLOOR, allow_infinity=False)
     tau_min, tau_max = sorted(draw(temperature) for _ in range(2))
     if variant == "constant":
         return TemperatureProfile("constant", tau_min, tau_min)
     extras = {}
     if variant == "cosine_shifted":
-        extras["shift"] = rounded(draw(st.floats(-1.0, 1.0)))
-        extras["scale"] = rounded(draw(st.floats(*SCALE_RANGE)))
+        extras["shift"] = draw(st.floats(-1.0, 1.0))
+        extras["scale"] = draw(st.floats(*SCALE_RANGE))
     if variant == "exponential":
-        extras["sharpness"] = rounded(draw(st.floats(*SHARPNESS_RANGE)))
+        extras["sharpness"] = draw(st.floats(*SHARPNESS_RANGE))
     return TemperatureProfile(variant, tau_min, tau_max, **extras)
 
 
@@ -140,7 +132,7 @@ def test_malformed_float_field_rejected_at_parse(path, value):
 
 
 @PROPERTY
-@given(profiles(rounded=six_digits))
+@given(profiles())
 def test_spec_string_round_trip(profile):
     assert TemperatureProfile.from_spec_string(profile.spec_string()) == profile
 

@@ -342,7 +342,7 @@ class TestTau:
         with pytest.raises(ValidationError, match=f"takes no {field}"):
             TemperatureProfile(variant, **{**accepted, field: value})
         # the default value is the field's absence, so it is accepted; a
-        # constant profile's tau_max has no default and must be its tau_min
+        # constant profile's tau_max, given or not, ends up as its tau_min
         default = TemperatureProfile.__dataclass_fields__[field].default
         TemperatureProfile(variant, **{field: default, **accepted})
 
@@ -395,9 +395,9 @@ class TestBoundaryConstants:
     def test_family_lower_bound_solves_minus_tau_max(self):
         # log(-delta*K - c_low) = 1/tau_max, so tau(-1) = -tau_max (invalid, kept)
         c_low, _ = family_bounds(1.0, 10.0, 0.2)
-        curve = ode_curve(OdeParams(1.0, 10.0, 0.2, c_low), [-1.0])
-        assert not curve.valid[0]
-        assert abs(curve.tau[0] + 0.2) < 1e-10
+        tau, valid = ode_curve(OdeParams(1.0, 10.0, c_low), [-1.0])
+        assert not valid[0]
+        assert abs(tau[0] + 0.2) < 1e-10
 
     def test_overflow_guard(self):
         with pytest.raises(NumericError):
@@ -413,6 +413,9 @@ class TestBoundaryConstants:
                 with pytest.raises(ValidationError, match="positive and finite"):
                     family_bounds(*args)
                 with pytest.raises(ValidationError, match="positive and finite"):
+                    boundary_constants(*args)
+            for args in ((bad, 10.0), (1.0, bad)):
+                with pytest.raises(ValidationError, match="positive and finite"):
                     OdeParams(*args, c=-11.0)
         with pytest.raises(NumericError):
             family_bounds(1.0, 1.0, 1.0 / 800.0)
@@ -421,35 +424,35 @@ class TestBoundaryConstants:
 class TestOdeCurve:
     def test_boundary_condition_at_minus_one(self):
         c_minus, _ = boundary_constants(1.0, 10.0, 0.2)
-        curve = ode_curve(OdeParams(1.0, 10.0, 0.2, c_minus), [-1.0])
-        assert curve.valid[0]
-        assert abs(curve.tau[0] - 0.2) < 1e-10
+        tau, valid = ode_curve(OdeParams(1.0, 10.0, c_minus), [-1.0])
+        assert valid[0]
+        assert abs(tau[0] - 0.2) < 1e-10
 
     def test_boundary_condition_at_plus_one(self):
         _, c_plus = boundary_constants(1.0, 10.0, 0.2)
-        curve = ode_curve(OdeParams(1.0, 10.0, 0.2, c_plus), [1.0])
-        assert curve.valid[0]
-        assert abs(curve.tau[0] - 0.2) < 1e-10
+        tau, valid = ode_curve(OdeParams(1.0, 10.0, c_plus), [1.0])
+        assert valid[0]
+        assert abs(tau[0] - 0.2) < 1e-10
 
     def test_singular_band_flagged(self):
         c_minus, _ = boundary_constants(1.0, 10.0, 0.2)
         s_star = -0.9006737946999085  # root of delta*K*s - c = 1, scalar solve
         grid = [s_star - 1e-3, s_star - 1e-7, s_star, s_star + 1e-7, s_star + 1e-3]
-        curve = ode_curve(OdeParams(1.0, 10.0, 0.2, c_minus), grid)
-        assert curve.valid[0]
-        assert not curve.valid[1] and not curve.valid[2] and not curve.valid[3]
+        tau, valid = ode_curve(OdeParams(1.0, 10.0, c_minus), grid)
+        assert valid[0]
+        assert not valid[1] and not valid[2] and not valid[3]
         # just right of the singularity tau < 0: invalid but present
-        assert not curve.valid[4]
-        assert curve.tau[4] < 0
+        assert not valid[4]
+        assert tau[4] < 0
 
     def test_nonpositive_argument_flagged_not_dropped(self):
-        curve = ode_curve(OdeParams(1.0, 1.0, 0.2, 2.0), [-1.0, 0.0, 1.0])
-        assert len(curve.tau) == 3
-        assert not curve.valid.all()
+        tau, valid = ode_curve(OdeParams(1.0, 1.0, 2.0), [-1.0, 0.0, 1.0])
+        assert len(tau) == 3
+        assert not valid.all()
 
     def test_grid_domain_checked(self):
         with pytest.raises(DomainError):
-            ode_curve(OdeParams(1.0, 1.0, 0.2, -5.0), [-2.0, 0.0])
+            ode_curve(OdeParams(1.0, 1.0, -5.0), [-2.0, 0.0])
 
 
 class TestProposition1:
@@ -460,17 +463,17 @@ class TestProposition1:
         # everywhere
         c_minus, c_plus = boundary_constants(1.0, 10.0, 0.2)
         grid = np.linspace(-1.0, 1.0, 2001)
-        curve = ode_curve(OdeParams(1.0, 10.0, 0.2, c_plus), grid)
-        pos = curve.valid & (curve.s > 0)
+        tau, valid = ode_curve(OdeParams(1.0, 10.0, c_plus), grid)
+        pos = valid & (grid > 0)
         assert pos.sum() > 900
-        assert not np.any(curve.valid & (curve.s < 0))
-        diffs = np.diff(curve.tau[pos])
+        assert not np.any(valid & (grid < 0))
+        diffs = np.diff(tau[pos])
         assert np.all(diffs > 0)
 
     def test_cell_report_passes_on_interior_constant(self):
         c_low, c_high = family_bounds(1.0, 10.0, 0.2)
         c = 0.5 * (c_low + c_high)
-        cell = slope_sign_cell(OdeParams(1.0, 10.0, 0.2, c), np.linspace(-1, 1, 2001))
+        cell = slope_sign_cell(OdeParams(1.0, 10.0, c), np.linspace(-1, 1, 2001))
         assert not cell.insufficient_samples
         assert cell.frac_correct_sign == 1.0
         assert cell.valid_points > 500
@@ -482,15 +485,16 @@ class TestProposition1:
         c_low, c_high = family_bounds(2.0, 50.0, 0.2)
         c_minus, c_plus = boundary_constants(2.0, 50.0, 0.2)
         assert c_high == c_minus < c_plus
-        report = verify_proposition1([2.0], [50.0], 0.2, c_count=8, s_count=2001)
-        cs = np.array([cell.c for cell in report.cells])
+        cells = verify_proposition1([2.0], [50.0], 0.2, c_count=8, s_count=2001)
+        cs = np.array([cell.c for cell in cells])
         assert np.all((cs > c_low) & (cs < c_high))
-        assert report.all_pass
+        assert len(cells) == 8 and all(cell.passed for cell in cells)
 
     def test_single_point_grid_insufficient(self):
-        cell = slope_sign_cell(OdeParams(1.0, 10.0, 0.2, -20.0), np.array([0.5]))
+        cell = slope_sign_cell(OdeParams(1.0, 10.0, -20.0), np.array([0.5]))
         assert cell.insufficient_samples
         assert cell.valid_points == 0
+        assert math.isnan(cell.frac_correct_sign) and not cell.passed
 
     def test_sample_constants_interior(self):
         cs = sample_constants(-158.0, -10.0, 8)
@@ -500,21 +504,23 @@ class TestProposition1:
             sample_constants(-158.0, -10.0, 1)
 
     def test_small_grid_report(self):
-        report = verify_proposition1([1.0], [10.0], 0.2, c_count=4, s_count=501)
-        assert len(report.cells) == 4
-        assert report.all_pass
+        cells = verify_proposition1([1.0], [10.0], 0.2, c_count=4, s_count=501)
+        assert len(cells) == 4
+        assert all(cell.passed for cell in cells)
+        assert summarize_ode_report(cells).startswith("summary: PASS (4/4 cells")
+        assert summarize_ode_report([]).startswith("summary: FAIL (0/0 cells")
 
     @pytest.mark.parametrize("tau_max, checked_negative", [(0.2, 0), (0.5, 9)])
     def test_negative_half_coverage(self, tau_max, checked_negative):
         # c02's grid: at tau_max 0.2 no cell has a checked s < 0 point; at 0.5
         # nine do, and each of those fails the sign check there
-        report = verify_proposition1([0.5, 1, 2], [5, 10, 50], tau_max, c_count=8, s_count=2001)
-        negative = [cell for cell in report.cells if cell.negative_points > 0]
+        cells = verify_proposition1([0.5, 1, 2], [5, 10, 50], tau_max, c_count=8, s_count=2001)
+        negative = [cell for cell in cells if cell.negative_points > 0]
         assert len(negative) == checked_negative
-        assert all(cell.valid_points > cell.negative_points for cell in report.cells)
+        assert all(cell.valid_points > cell.negative_points for cell in cells)
         assert not any(cell.passed for cell in negative)
-        assert all(cell.passed for cell in report.cells if cell.negative_points == 0)
-        summary = summarize_ode_report(report)
+        assert all(cell.passed for cell in cells if cell.negative_points == 0)
+        summary = summarize_ode_report(cells)
         assert f"{checked_negative} cells checked s < 0, 72 checked s > 0" in summary
 
     def test_empty_grids_rejected(self):
